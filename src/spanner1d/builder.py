@@ -15,7 +15,8 @@ In complete-graph mode the edge set is simply all pairs.
 from __future__ import annotations
 
 import json
-from itertools import combinations
+import warnings
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -35,26 +36,40 @@ class OverlappingHalves(ValueError):
 class SpannerGraph:
     """Undirected graph on vertices 0..n-1 with a deduplicated edge set.
 
-    Edge weights are never stored; any consumer derives them from point
-    coordinates. ``provenance`` (optional) maps an edge to the first
-    construction rule that produced it.
+    The graph is held as two read-only arrays: ``edges``, the (E, 2) edge
+    list with u < v in lexicographic order, and ``indptr``, where row u of
+    ``edges[indptr[u]:indptr[u+1], 1]`` lists u's higher neighbours. Together
+    they are a CSR of the upper triangle. Edge weights are never stored; any
+    consumer derives them from point coordinates. ``provenance`` (optional)
+    maps an edge to the first construction rule that produced it.
     """
 
     def __init__(self, n: int, edges, provenance: dict | None = None):
         self.n = int(n)
-        seen = set()
-        for u, v in edges:
-            u, v = int(u), int(v)
-            if u == v:
-                raise ValueError(f"self-loop at vertex {u}")
-            if not (0 <= u < self.n and 0 <= v < self.n):
-                raise SchemeMismatch(f"edge ({u}, {v}) outside vertex range [0, {self.n})")
-            seen.add((u, v) if u < v else (v, u))
-        arr = np.array(sorted(seen), dtype=np.int64).reshape(len(seen), 2)
-        arr.flags.writeable = False
-        self._edges = arr
+        if not isinstance(edges, np.ndarray):
+            edges = list(edges)
+        arr = np.asarray(edges, dtype=np.int64)
+        if arr.size == 0:
+            arr = arr.reshape(0, 2)
+        if arr.ndim != 2 or arr.shape[1] != 2:
+            raise ValueError(f"edges must be vertex pairs, got shape {arr.shape}")
+        u = np.minimum(arr[:, 0], arr[:, 1])
+        v = np.maximum(arr[:, 0], arr[:, 1])
+        bad = (u == v) | (u < 0) | (v >= self.n)
+        if bad.any():
+            a, b = arr[int(np.argmax(bad))].tolist()
+            if a == b:
+                raise ValueError(f"self-loop at vertex {a}")
+            raise SchemeMismatch(f"edge ({a}, {b}) outside vertex range [0, {self.n})")
+        keys = np.sort(u * self.n + v)
+        keys = keys[np.diff(keys, prepend=-1) != 0]
+        out = np.stack(np.divmod(keys, self.n), axis=1)
+        indptr = np.searchsorted(out[:, 0], np.arange(self.n + 1))
+        out.flags.writeable = False
+        indptr.flags.writeable = False
+        self._edges = out
+        self.indptr = indptr
         self.provenance = provenance
-        self._adjacency = None
 
     @property
     def edge_count(self) -> int:
@@ -65,20 +80,24 @@ class SpannerGraph:
         """Edges as a read-only (E, 2) array, u < v, lexicographically sorted."""
         return self._edges
 
-    @property
+    @cached_property
     def edge_set(self) -> frozenset:
         return frozenset(map(tuple, self._edges.tolist()))
 
-    @property
+    @cached_property
+    def higher_neighbors(self) -> tuple:
+        """Per-vertex ascending higher neighbours: the CSR rows as tuples."""
+        flat = tuple(self._edges[:, 1].tolist())
+        bounds = self.indptr.tolist()
+        return tuple(flat[a:b] for a, b in zip(bounds, bounds[1:]))
+
+    @cached_property
     def adjacency(self) -> tuple:
         """Per-vertex sorted neighbour lists (plain tuples)."""
-        if self._adjacency is None:
-            nbrs = [[] for _ in range(self.n)]
-            for u, v in self._edges.tolist():
-                nbrs[u].append(v)
-                nbrs[v].append(u)
-            self._adjacency = tuple(tuple(sorted(a)) for a in nbrs)
-        return self._adjacency
+        lower = [[] for _ in range(self.n)]
+        for u, v in self._edges.tolist():
+            lower[v].append(u)
+        return tuple(tuple(lo) + hi for lo, hi in zip(lower, self.higher_neighbors))
 
     def neighbors(self, v: int) -> tuple:
         return self.adjacency[v]
@@ -86,7 +105,11 @@ class SpannerGraph:
     def has_edge(self, u: int, v: int) -> bool:
         if u > v:
             u, v = v, u
-        return (u, v) in self.edge_set
+        if u < 0 or v >= self.n:
+            return False
+        row = self._edges[self.indptr[u] : self.indptr[u + 1], 1]
+        i = int(row.searchsorted(v))
+        return i < row.size and int(row[i]) == v
 
     def __eq__(self, other) -> bool:
         return (
@@ -112,46 +135,67 @@ def match_halves(a: HalfClusterRef, b: HalfClusterRef) -> list:
     return pairs
 
 
+def _pairs_within(lo, hi):
+    """Every pair a < b with lo[i] <= a < b < hi[i], run by run, as two arrays."""
+    out_a, out_b = [], []
+    sizes = hi - lo
+    for size in np.unique(sizes).tolist():
+        first = lo[sizes == size][:, None]
+        a, b = np.triu_indices(size, 1)
+        out_a.append((first + a).ravel())
+        out_b.append((first + b).ravel())
+    return np.concatenate(out_a), np.concatenate(out_b)
+
+
+def _matchings(lo, hi, a, b):
+    """Rank-aligned matchings between tiles a[i] < b[i], truncated to the smaller."""
+    length = np.minimum(hi[a] - lo[a], hi[b] - lo[b])
+    rank = np.arange(int(length.sum())) - np.repeat(np.cumsum(length) - length, length)
+    return np.repeat(lo[a], length) + rank, np.repeat(lo[b], length) + rank
+
+
 def build_spanner(
     ps: PointSet, scheme: LayeredScheme, with_provenance: bool = False
 ) -> SpannerGraph:
-    """Assemble the deduplicated edge set for a point set and its layout."""
+    """Assemble the deduplicated edge set for a point set and its layout.
+
+    Cluster ``j`` of a layer spans its tiles ``j`` and ``j+1``, so cluster
+    bounds are read off ``scheme.tile_bounds``; the lower-layer tiles inside
+    a cluster form a contiguous run found by binary search on tile bounds.
+    """
     if ps.n != scheme.n:
         raise SchemeMismatch(f"point set has n={ps.n} but scheme was built for n={scheme.n}")
     n = scheme.n
-    edges = set()
-    prov = {} if with_provenance else None
-
-    def add(u, v, tag):
-        e = (u, v) if u < v else (v, u)
-        edges.add(e)
-        if prov is not None and e not in prov:
-            prov[e] = tag
-
     if scheme.complete_mode:
-        for u, v in combinations(range(n), 2):
-            add(u, v, "complete")
-        return SpannerGraph(n, edges, prov)
+        rules = [("complete", _pairs_within(np.array([0]), np.array([n])))]
+    else:
+        lo, hi = scheme.tile_bounds(1)
+        rules = [("clique-layer-1", _pairs_within(lo[:-1], hi[1:]))]
+        for layer in range(2, scheme.ell + 1):
+            c_lo, c_hi = scheme.tile_bounds(layer)
+            first = np.searchsorted(lo, c_lo[:-1])
+            stop = np.searchsorted(hi, c_hi[1:], side="right")
+            pairs = _pairs_within(first, stop)
+            rules.append((f"matching-layer-{layer}", _matchings(lo, hi, *pairs)))
+            lo, hi = c_lo, c_hi
+        top = _pairs_within(np.array([0]), np.array([lo.size]))
+        rules.append(("matching-top", _matchings(lo, hi, *top)))
 
-    for c in scheme.layers[0]:
-        for u in range(c.lo, c.hi):
-            for v in range(u + 1, c.hi):
-                add(u, v, "clique-layer-1")
-
-    for layer in range(2, scheme.ell + 1):
-        below = scheme.halves[layer - 2]
-        tag = f"matching-layer-{layer}"
-        for c in scheme.layers[layer - 1]:
-            contained = [h for h in below if c.lo <= h.lo and h.hi <= c.hi]
-            for ha, hb in combinations(contained, 2):
-                for u, v in match_halves(ha, hb):
-                    add(u, v, tag)
-
-    for ha, hb in combinations(scheme.halves[scheme.ell - 1], 2):
-        for u, v in match_halves(ha, hb):
-            add(u, v, "matching-top")
-
-    return SpannerGraph(n, edges, prov)
+    u = np.concatenate([a for _, (a, _) in rules])
+    v = np.concatenate([b for _, (_, b) in rules])
+    prov = None
+    if with_provenance:
+        rule = np.repeat(np.arange(len(rules)), [a.size for _, (a, _) in rules])
+        keys = u * n + v
+        order = np.argsort(keys, kind="stable")
+        u, v, rule = u[order], v[order], rule[order]
+        first = np.diff(keys[order], prepend=-1) != 0
+        tags = [tag for tag, _ in rules]
+        prov = {
+            (a, b): tags[r]
+            for a, b, r in zip(u[first].tolist(), v[first].tolist(), rule[first].tolist())
+        }
+    return SpannerGraph(n, np.stack((u, v), axis=1), prov)
 
 
 def edge_count_bound(n: int, ell: int) -> float:
@@ -166,16 +210,16 @@ def write_edge_list(graph: SpannerGraph, path: str | Path) -> None:
 
 
 def read_edge_list(path: str | Path, n: int | None = None) -> SpannerGraph:
-    """Read a ``u v`` per line file; n defaults to 1 + the largest endpoint."""
-    edges = []
-    for raw in Path(path).read_text().splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        u, v = line.split()
-        edges.append((int(u), int(v)))
+    """Read a ``u v`` per line file; n defaults to 1 + the largest endpoint.
+
+    Every non-blank, non-comment row must hold exactly two integers.
+    """
+    with warnings.catch_warnings():
+        # An empty or comment-only file is an edgeless graph, not a mistake.
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+        edges = np.loadtxt(path, dtype=np.int64, comments="#", ndmin=2)
     if n is None:
-        n = 1 + max((max(u, v) for u, v in edges), default=-1)
+        n = 1 + int(edges.max(initial=-1))
     return SpannerGraph(n, edges)
 
 

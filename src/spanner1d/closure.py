@@ -71,22 +71,24 @@ def compute_closure(scheme: LayeredScheme, failures) -> ClosureTrace:
 
     per_layer = [fs]
     triggered = []
-    current = set(fs)
+    failed = np.zeros(scheme.n, dtype=bool)
+    failed[list(fs)] = True
     for layer in range(1, scheme.ell + 1):
-        mask = np.zeros(scheme.n, dtype=np.int64)
-        if current:
-            mask[sorted(current)] = 1
-        csum = np.concatenate(([0], np.cumsum(mask)))
-        additions = set()
-        for half in scheme.halves[layer - 1]:
-            count = int(csum[half.hi] - csum[half.lo])
-            if count >= half_threshold(half.size):
-                owners = containing_clusters(scheme, layer, half.lo, half.hi)
-                triggered.append(TriggerEvent(layer, half, owners))
-                for c in owners:
-                    additions.update(range(c.lo, c.hi))
-        current |= additions
-        per_layer.append(frozenset(current))
+        csum = np.concatenate(([0], np.cumsum(failed)))
+        lo, hi = scheme.tile_bounds(layer)
+        # half_threshold takes one size; tiles come in at most two sizes
+        sizes, tile_size = np.unique(hi - lo, return_inverse=True)
+        threshold = np.array([half_threshold(s) for s in sizes.tolist()])[tile_size]
+        hits = np.flatnonzero(csum[hi] - csum[lo] >= threshold)
+        grown = failed.copy()
+        for k in hits.tolist():
+            half = scheme.halves[layer - 1][k]
+            owners = containing_clusters(scheme, layer, half.lo, half.hi)
+            triggered.append(TriggerEvent(layer, half, owners))
+            for c in owners:
+                grown[c.lo : c.hi] = True
+        failed = grown
+        per_layer.append(frozenset(np.flatnonzero(failed).tolist()))
     return ClosureTrace(tuple(per_layer), tuple(triggered))
 
 

@@ -19,8 +19,11 @@ from __future__ import annotations
 
 import json
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Literal
+
+import numpy as np
 
 from .core import check_vertex
 
@@ -103,6 +106,17 @@ class LayeredScheme:
         tiles = self.halves[layer - 1]
         half = (2 * self.m) ** layer // 2
         return min(v // half, len(tiles) - 1)
+
+    def tile_bounds(self, layer: int) -> tuple:
+        """``(lo, hi)`` arrays of the tiles ``halves[layer-1]``, left to right.
+
+        Tile ``k`` starts at ``k`` half-clusters; only the last may be short.
+        Cluster ``j`` of the layer spans tiles ``j`` and ``j+1``.
+        """
+        _check_layer(self, layer)
+        half = (2 * self.m) ** layer // 2
+        lo = np.arange(len(self.halves[layer - 1]), dtype=np.int64) * half
+        return lo, np.minimum(lo + half, self.n)
 
 
 def _check_layer(s: LayeredScheme, layer: int) -> None:
@@ -187,11 +201,17 @@ def half_clusters_of_layer(s: LayeredScheme, layer: int) -> tuple:
 
 
 def containing_clusters(s: LayeredScheme, layer: int, lo: int, hi: int) -> tuple:
-    """All clusters of ``layer`` whose span contains [lo, hi)."""
+    """All clusters of ``layer`` whose span contains [lo, hi).
+
+    Cluster starts and ends both rise left to right, so the clusters ending
+    at or after ``hi`` form a suffix, those starting at or before ``lo`` a
+    prefix, and the answer is their overlap.
+    """
     _check_layer(s, layer)
-    return tuple(
-        c for c in s.layers[layer - 1] if c.lo <= lo and hi <= c.hi
-    )
+    clusters = s.layers[layer - 1]
+    first = bisect_left(clusters, hi, key=lambda c: c.hi)
+    stop = bisect_right(clusters, lo, key=lambda c: c.lo)
+    return clusters[first:stop]
 
 
 def parent_clusters(s: LayeredScheme, half: HalfClusterRef) -> tuple:

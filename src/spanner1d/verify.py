@@ -73,20 +73,9 @@ def exact_reach_from(view: AliveView, x: int) -> set:
     return out
 
 
-def _directional_adjacency(graph: SpannerGraph):
-    """Cache per-vertex higher-neighbour lists on the graph instance."""
-    cached = getattr(graph, "_adj_high", None)
-    if cached is None:
-        cached = [[] for _ in range(graph.n)]
-        for u, v in graph.edges.tolist():
-            cached[u].append(v)
-        graph._adj_high = cached
-    return cached
-
-
 def _forward_reach(graph: SpannerGraph, alive) -> list:
     """Bitset per vertex of everything reachable by increasing-index paths."""
-    adj_high = _directional_adjacency(graph)
+    adj_high = graph.higher_neighbors
     reach = [0] * graph.n
     for x in range(graph.n - 1, -1, -1):
         if not alive[x]:
@@ -106,31 +95,22 @@ def _bits(value: int):
         value ^= low
 
 
-def _oracle_arrays(graph: SpannerGraph):
-    cached = getattr(graph, "_oracle_uv", None)
-    if cached is None:
-        cached = (graph.edges[:, 0].copy(), graph.edges[:, 1].copy())
-        graph._oracle_uv = cached
-    return cached
+def _oracle_csr(graph: SpannerGraph, ps: PointSet, removed: frozenset) -> csr_matrix:
+    """Symmetric CSR of the alive subgraph, each edge weighted by its gap.
 
-
-def _dijkstra_rows(graph: SpannerGraph, ps: PointSet, removed: frozenset, sources):
-    """Shortest-path lengths from each source in the alive subgraph.
-
-    Returns an array of shape (len(sources), n); removed columns are inf.
+    Removed vertices keep no edges, so shortest paths to them read inf.
     """
-    u, v = _oracle_arrays(graph)
+    edges = graph.edges
     if removed:
         dead = np.zeros(graph.n, dtype=bool)
-        dead[sorted(removed)] = True
-        keep = ~(dead[u] | dead[v])
-        u, v = u[keep], v[keep]
+        dead[list(removed)] = True
+        edges = edges[~(dead[edges[:, 0]] | dead[edges[:, 1]])]
+    u, v = edges[:, 0], edges[:, 1]
     w = np.abs(ps.coords[v] - ps.coords[u])
-    mat = csr_matrix(
+    return csr_matrix(
         (np.concatenate([w, w]), (np.concatenate([u, v]), np.concatenate([v, u]))),
         shape=(graph.n, graph.n),
     )
-    return dijkstra(mat, directed=True, indices=np.asarray(sources, dtype=np.int64))
 
 
 def brute_force_oracle(
@@ -145,7 +125,7 @@ def brute_force_oracle(
     alive = [v for v in range(graph.n) if v not in fs]
     if not alive:
         return {}
-    rows = _dijkstra_rows(graph, ps, fs, alive)
+    rows = dijkstra(_oracle_csr(graph, ps, fs), indices=alive)
     out = {}
     for i, x in enumerate(alive):
         row = rows[i]
@@ -228,10 +208,10 @@ def _sample_pairs(rng, pool, count):
     return pairs
 
 
-def _price_pairs(graph, ps, removed, pairs):
-    """Shortest-path length per pair, via one multi-source run."""
+def _price_pairs(mat, pairs):
+    """Shortest-path length per pair in ``mat``, via one multi-source run."""
     sources = sorted({u for u, _ in pairs})
-    rows = _dijkstra_rows(graph, ps, removed, sources)
+    rows = dijkstra(mat, indices=sources)
     index = {s: i for i, s in enumerate(sources)}
     return [float(rows[index[u]][v]) for u, v in pairs]
 
@@ -304,9 +284,10 @@ def verify_robust_spanner(
             else:
                 missing.append((x, y))
 
+    oracle = _oracle_csr(graph, ps, fs) if missing or oracle_sample > 0 else None
     violations = []
     if missing:
-        priced = _price_pairs(graph, ps, fs, missing[:512])
+        priced = _price_pairs(oracle, missing[:512])
         for (x, y), d in zip(missing[:512], priced):
             violations.append((x, y, None if math.isinf(d) else d))
         violations.extend((x, y, None) for x, y in missing[512:])
@@ -315,7 +296,7 @@ def verify_robust_spanner(
     oracle_mismatches = []
     if oracle_sample > 0 and len(targets) >= 2:
         sample = _sample_pairs(rng, targets, min(oracle_sample, 4 * len(targets)))
-        priced = _price_pairs(graph, ps, fs, sample)
+        priced = _price_pairs(oracle, sample)
         for (x, y), found in zip(sample, priced):
             oracle_checked += 1
             want = float(ps.coords[y] - ps.coords[x])
@@ -339,7 +320,7 @@ def verify_robust_spanner(
             if x != y:
                 pairs.append((x, y) if x < y else (y, x))
         if pairs:
-            priced = _price_pairs(graph, ps, fs, pairs)
+            priced = _price_pairs(oracle, pairs)
             ratios = [
                 d / (ps.coords[y] - ps.coords[x]) for (x, y), d in zip(pairs, priced)
             ]

@@ -1,3 +1,6 @@
+import warnings
+from itertools import combinations
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -24,10 +27,20 @@ def test_golden_edge_counts(n, ell, instance):
     assert graph.edge_count == GOLDEN_COUNTS[(n, ell)]
 
 
-def test_single_layer_count_formula(instance):
-    for m in (2, 3, 4, 5, 6):
-        _, _, graph = instance((2 * m) ** 2, 1)
-        assert graph.edge_count == 14 * m**3 - 9 * m**2 + m
+# closed-form counts at n = (2m)^(ell+1): ell -> (count, values of m)
+CLOSED_FORMS = {
+    1: (lambda m: 14 * m**3 - 9 * m**2 + m, range(2, 33)),
+    2: (lambda m: 52 * m**4 - 32 * m**3 + m**2 + m, range(2, 7)),
+    3: (lambda m: 152 * m**5 - 88 * m**4 + m**2 + m, range(2, 5)),
+}
+
+
+def test_single_layer_count_formula():
+    for ell, (count, ms) in CLOSED_FORMS.items():
+        for m in ms:
+            n = (2 * m) ** (ell + 1)
+            graph = sp.build_spanner(sp.generate_points(n, "uniform", 0), sp.build_scheme(n, ell))
+            assert graph.edge_count == count(m), (ell, m)
 
 
 def test_complete_mode_is_all_pairs(instance):
@@ -52,6 +65,89 @@ def test_provenance_tags(instance):
     assert {"clique-layer-1", "matching-layer-2", "matching-top"} <= tags
     assert g.provenance[(0, 1)] == "clique-layer-1"
     assert set(g.provenance) == g.edge_set
+
+
+RULES = {"clique-layer-1", "matching-layer-2", "matching-layer-3", "matching-top"}
+
+
+def test_provenance_depth_3(instance):
+    ps, scheme, graph = instance(1296, 3)
+    g = sp.build_spanner(ps, scheme, with_provenance=True)
+    assert g == graph
+    assert set(g.provenance) == g.edge_set
+    assert set(g.provenance.values()) == RULES
+
+
+def loop_provenance(scheme) -> dict:
+    """The construction rules as plain loops over the scheme: edge -> first rule."""
+    prov = {}
+    if scheme.complete_mode:
+        for e in combinations(range(scheme.n), 2):
+            prov[e] = "complete"
+        return prov
+
+    def match(ha, hb, tag):
+        for k in range(min(ha.size, hb.size)):
+            prov.setdefault((ha.lo + k, hb.lo + k), tag)
+
+    for c in scheme.layers[0]:
+        for e in combinations(range(c.lo, c.hi), 2):
+            prov.setdefault(e, "clique-layer-1")
+    for layer in range(2, scheme.ell + 1):
+        for c in scheme.layers[layer - 1]:
+            inside = [h for h in scheme.halves[layer - 2] if c.lo <= h.lo and h.hi <= c.hi]
+            for ha, hb in combinations(inside, 2):
+                match(ha, hb, f"matching-layer-{layer}")
+    for ha, hb in combinations(scheme.halves[-1], 2):
+        match(ha, hb, "matching-top")
+    return prov
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=1, max_value=700), st.integers(min_value=1, max_value=3))
+def test_builder_matches_loop_reference(n, ell):
+    scheme = sp.build_scheme(n, ell)
+    g = sp.build_spanner(sp.generate_points(n, "uniform", 2), scheme, with_provenance=True)
+    assert g.provenance == loop_provenance(scheme)
+    assert g.edges.tolist() == sorted(map(list, g.provenance))
+
+
+@pytest.mark.parametrize("n,ell", [(217, 2), (8, 1)])
+def test_has_edge_agrees_with_edge_set(n, ell, instance):
+    _, _, g = instance(n, ell)
+    for u in range(n):
+        for v in range(n):
+            assert g.has_edge(u, v) == ((min(u, v), max(u, v)) in g.edge_set)
+
+
+def test_has_edge_on_edgeless_graph():
+    g = sp.SpannerGraph(1, [])
+    assert not g.has_edge(0, 0)
+    assert g.edge_set == frozenset() and g.indptr.tolist() == [0, 0]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(min_value=2, max_value=30).flatmap(
+        lambda n: st.tuples(
+            st.just(n),
+            st.lists(
+                st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(
+                    lambda e: e[0] != e[1]
+                ),
+                max_size=80,
+            ),
+        )
+    )
+)
+def test_graph_arrays_match_set_normalisation(case):
+    n, pairs = case
+    g = sp.SpannerGraph(n, pairs)
+    want = sorted({(min(e), max(e)) for e in pairs})
+    assert g.edges.tolist() == [list(e) for e in want]
+    for u in range(n):
+        assert g.higher_neighbors[u] == tuple(v for a, v in want if a == u)
+        assert g.neighbors(u) == tuple(sorted({a + b - u for a, b in want if u in (a, b)}))
 
 
 def test_graph_normalization():
@@ -129,6 +225,29 @@ def test_edge_list_comments(tmp_path):
     path.write_text("# spanner\n0 2\n\n1 2  # last\n")
     g = sp.read_edge_list(path)
     assert g.n == 3 and g.edge_count == 2
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["0 1 2\n", "0\n", "0 1.5\n", "0 x\n", "0 1\n1 2 3\n", "0 1\n2\n"],
+    ids=["three-fields", "one-field", "float", "text", "ragged-three", "ragged-one"],
+)
+def test_edge_list_rejects_malformed_rows(tmp_path, text):
+    path = tmp_path / "g.edges"
+    path.write_text(text)
+    with pytest.raises(ValueError):
+        sp.read_edge_list(path)
+
+
+@pytest.mark.parametrize("text", ["", "# header only\n\n# more\n"], ids=["empty", "comments"])
+def test_edge_list_without_rows_is_edgeless(tmp_path, text):
+    path = tmp_path / "g.edges"
+    path.write_text(text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        g = sp.read_edge_list(path, n=3)
+        assert sp.read_edge_list(path).n == 0
+    assert g.n == 3 and g.edge_count == 0
 
 
 def test_graph_json_round_trip(tmp_path, instance):

@@ -78,6 +78,15 @@ def test_verify_flags_tampered_edge_list(tmp_path, capsys):
     assert "FAIL" in text and "(3, 4)" in text
 
 
+def test_verify_rejects_corrupted_edge_list(tmp_path, capsys):
+    out = tmp_path / "g"
+    main(["build", "--n", "16", "--ell", "1", "--out", str(out)])
+    edges = tmp_path / "g.edges"
+    edges.write_text(edges.read_text() + "5 6 7\n")
+    assert main(["verify", "--graph", str(out)]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
 def test_verify_failure_model_flags(tmp_path, capsys):
     assert main(["verify", "--n", "64", "--ell", "2", "--wipe-half", "1:3"]) == 0
     assert main(["verify", "--n", "64", "--ell", "1", "--wipe-interval", "10:20"]) == 0

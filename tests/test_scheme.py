@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import spanner1d as sp
@@ -125,6 +125,22 @@ def test_containing_clusters():
     assert [(c.lo, c.hi) for c in owners] == [(0, 4), (2, 6)]
     first = sp.containing_clusters(s, 1, 0, 2)
     assert [(c.lo, c.hi) for c in first] == [(0, 4)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=16, max_value=5000), st.integers(min_value=1, max_value=3))
+def test_cluster_lookup_matches_linear_scan(n, ell):
+    s = sp.build_scheme(n, ell)
+    if s.complete_mode:
+        return
+    for layer in range(1, ell + 1):
+        tiles = s.halves[layer - 1]
+        lo, hi = s.tile_bounds(layer)
+        assert list(zip(lo.tolist(), hi.tolist())) == [(h.lo, h.hi) for h in tiles]
+        for up in {layer, min(layer + 1, ell)}:
+            for h in tiles:
+                scan = tuple(c for c in s.layers[up - 1] if c.lo <= h.lo and h.hi <= c.hi)
+                assert sp.containing_clusters(s, up, h.lo, h.hi) == scan
 
 
 def test_parent_clusters():
