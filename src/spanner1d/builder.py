@@ -205,8 +205,8 @@ def edge_count_bound(n: int, ell: int) -> float:
 
 def write_edge_list(graph: SpannerGraph, path: str | Path) -> None:
     """One ``u v`` pair per line, sorted; blank lines and # comments allowed."""
-    lines = [f"{u} {v}" for u, v in graph.edges.tolist()]
-    Path(path).write_text("\n".join(lines) + ("\n" if lines else ""))
+    edges = graph.edges
+    Path(path).write_text(("%d %d\n" * len(edges)) % tuple(edges.ravel().tolist()))
 
 
 def read_edge_list(path: str | Path, n: int | None = None) -> SpannerGraph:

@@ -103,6 +103,8 @@ class LayeredScheme:
         """Index into ``halves[layer-1]`` of the tile containing vertex v."""
         _check_layer(self, layer)
         check_vertex(self.n, v)
+        if self.complete_mode:
+            raise ValueError(f"complete mode (n={self.n}, ell={self.ell}) has no tiles")
         tiles = self.halves[layer - 1]
         half = (2 * self.m) ** layer // 2
         return min(v // half, len(tiles) - 1)
@@ -111,9 +113,12 @@ class LayeredScheme:
         """``(lo, hi)`` arrays of the tiles ``halves[layer-1]``, left to right.
 
         Tile ``k`` starts at ``k`` half-clusters; only the last may be short.
-        Cluster ``j`` of the layer spans tiles ``j`` and ``j+1``.
+        Cluster ``j`` of the layer spans tiles ``j`` and ``j+1``. Both arrays
+        are empty in complete mode.
         """
         _check_layer(self, layer)
+        if self.complete_mode:
+            return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
         half = (2 * self.m) ** layer // 2
         lo = np.arange(len(self.halves[layer - 1]), dtype=np.int64) * half
         return lo, np.minimum(lo + half, self.n)
@@ -205,8 +210,10 @@ def containing_clusters(s: LayeredScheme, layer: int, lo: int, hi: int) -> tuple
 
     Cluster starts and ends both rise left to right, so the clusters ending
     at or after ``hi`` form a suffix, those starting at or before ``lo`` a
-    prefix, and the answer is their overlap.
+    prefix, and the answer is their overlap. Complete mode has no clusters.
     """
+    if s.complete_mode:
+        return ()
     _check_layer(s, layer)
     clusters = s.layers[layer - 1]
     first = bisect_left(clusters, hi, key=lambda c: c.hi)

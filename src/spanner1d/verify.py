@@ -216,6 +216,28 @@ def _price_pairs(mat, pairs):
     return [float(rows[index[u]][v]) for u, v in pairs]
 
 
+def _price_within_gap(mat, pairs, coords):
+    """Like ``_price_pairs``, but lengths past the gap may read inf.
+
+    Each source runs one Dijkstra that stops past its largest gap times
+    ``1 + 2 * ORACLE_RELATIVE_TOLERANCE``. Any length the oracle test
+    accepts is at most the gap times ``1 + ORACLE_RELATIVE_TOLERANCE``, up
+    to rounding far below the second tolerance, so it is always settled
+    and equals the unbounded length. An inf means the pair is not exact.
+    """
+    by_source = {}
+    for i, (u, v) in enumerate(pairs):
+        by_source.setdefault(u, []).append(i)
+    out = [math.inf] * len(pairs)
+    for u, idx in by_source.items():
+        ends = [pairs[i][1] for i in idx]
+        gap = float(np.max(np.abs(coords[ends] - coords[u])))
+        row = dijkstra(mat, indices=u, limit=gap * (1.0 + 2.0 * ORACLE_RELATIVE_TOLERANCE))
+        for i, v in zip(idx, ends):
+            out[i] = float(row[v])
+    return out
+
+
 def _check_pairs_exhaustive(reach, targets):
     """Scan all target pairs; returns (pairs, exact, missing_pairs)."""
     pairs = 0
@@ -250,7 +272,11 @@ def verify_robust_spanner(
     All pairs are checked when n <= exhaustive_limit, otherwise
     ``pair_sample`` seeded random pairs. ``oracle_sample`` pairs are
     additionally priced by the numeric oracle and must agree with the
-    monotone criterion to within a 1e-12 relative tolerance.
+    monotone criterion to within a 1e-12 relative tolerance. The oracle
+    prices them by searches bounded at ``gap * (1 + 2 * tol)`` per
+    source; a mismatch left unsettled there is re-priced unbounded.
+    Ignored-set stretch is priced from the ignored endpoint, and
+    violations without a bound.
     """
     if not (graph.n == ps.n == scheme.n):
         raise SchemeMismatch(
@@ -296,7 +322,7 @@ def verify_robust_spanner(
     oracle_mismatches = []
     if oracle_sample > 0 and len(targets) >= 2:
         sample = _sample_pairs(rng, targets, min(oracle_sample, 4 * len(targets)))
-        priced = _price_pairs(oracle, sample)
+        priced = _price_within_gap(oracle, sample, ps.coords)
         for (x, y), found in zip(sample, priced):
             oracle_checked += 1
             want = float(ps.coords[y] - ps.coords[x])
@@ -306,6 +332,13 @@ def verify_robust_spanner(
             mono_exact = bool((reach[x] >> y) & 1)
             if mono_exact != numeric_exact:
                 oracle_mismatches.append((x, y, found))
+        # a mismatch the bounded search left unsettled reports its full length
+        unsettled = [(x, y) for x, y, d in oracle_mismatches if math.isinf(d)]
+        if unsettled:
+            full = dict(zip(unsettled, _price_pairs(oracle, unsettled)))
+            oracle_mismatches = [
+                (x, y, full.get((x, y), d)) for x, y, d in oracle_mismatches
+            ]
 
     ignored_alive = sorted(f_star - fs)
     max_stretch = math.nan
@@ -318,11 +351,12 @@ def verify_robust_spanner(
         for i, j in zip(a.tolist(), b.tolist()):
             x, y = ignored_alive[i], others[j]
             if x != y:
-                pairs.append((x, y) if x < y else (y, x))
+                pairs.append((x, y))
         if pairs:
+            # priced from the ignored endpoint: at most |F* \ F| sources
             priced = _price_pairs(oracle, pairs)
             ratios = [
-                d / (ps.coords[y] - ps.coords[x]) for (x, y), d in zip(pairs, priced)
+                d / abs(ps.coords[y] - ps.coords[x]) for (x, y), d in zip(pairs, priced)
             ]
             max_stretch = float(max(ratios))
 

@@ -220,6 +220,23 @@ def test_edge_list_round_trip(tmp_path, instance):
     assert sp.read_edge_list(path) == g  # n inferred from endpoints
 
 
+def test_edge_list_exact_bytes(tmp_path, instance):
+    """One ``u v`` line per edge in sorted order, newline-terminated, nothing else."""
+    path = tmp_path / "g.edges"
+    sp.write_edge_list(sp.SpannerGraph(4, []), path)
+    assert path.read_bytes() == b""
+    _, _, complete = instance(5, 1)
+    sp.write_edge_list(complete, path)
+    assert path.read_bytes() == (
+        b"0 1\n0 2\n0 3\n0 4\n1 2\n1 3\n1 4\n2 3\n2 4\n3 4\n"
+    )
+    _, _, layered = instance(216, 2)
+    sp.write_edge_list(layered, path)
+    want = "".join(f"{u} {v}\n" for u, v in sorted(layered.edge_set))
+    assert path.read_bytes() == want.encode()
+    assert path.read_bytes().count(b"\n") == layered.edge_count == 3360
+
+
 def test_edge_list_comments(tmp_path):
     path = tmp_path / "g.edges"
     path.write_text("# spanner\n0 2\n\n1 2  # last\n")

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -51,6 +52,20 @@ def test_complete_mode_below_threshold():
     assert sp.half_clusters_of_layer(s, 1) == ()
     assert sp.build_scheme(63, 2).complete_mode
     assert not sp.build_scheme(64, 2).complete_mode
+
+
+def test_complete_mode_lookups():
+    """Complete mode has no clusters or tiles; lookups say so instead of crashing."""
+    s = sp.build_scheme(8, 1)
+    assert s.complete_mode
+    assert sp.containing_clusters(s, 1, 0, 2) == ()
+    lo, hi = s.tile_bounds(1)
+    assert lo.dtype == hi.dtype == np.int64
+    assert lo.shape == hi.shape == (0,)
+    with pytest.raises(ValueError, match="complete mode"):
+        s.tile_of(1, 0)
+    with pytest.raises(sp.LayerOutOfRange):
+        s.tile_bounds(2)
 
 
 def test_layer_out_of_range():

@@ -1,12 +1,14 @@
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import spanner1d as sp
+from spanner1d import verify
 from spanner1d.verify import ORACLE_RELATIVE_TOLERANCE, _forward_reach
 
 
@@ -214,3 +216,78 @@ def test_exactness_survives_any_failures_property(n, ell, data):
     # deleting the whole ignored set is a strictly stronger ask and does
     # fail on some draws; the field is recorded, never required
     assert rep.strong_variant_ok is not None
+
+
+def flipped_reach(rows):
+    """``_forward_reach`` with every bit of the given sources' rows inverted."""
+
+    def reach(graph, alive):
+        out = _forward_reach(graph, alive)
+        for x in rows:
+            out[x] ^= (1 << graph.n) - 1
+        return out
+
+    return reach
+
+
+def test_oracle_mismatch_reports_detour_length(monkeypatch):
+    # 0 and 1 meet only through 2, a detour past the bounded search's reach
+    ps = sp.make_point_set([0.0, 1.0, 5.0])
+    g = sp.SpannerGraph(3, [(0, 2), (1, 2)])
+    monkeypatch.setattr(verify, "_forward_reach", flipped_reach([0]))
+    rep = sp.verify_robust_spanner(g, ps, sp.build_scheme(3, 1), frozenset(), seed=1)
+    detour = sp.brute_force_oracle(g, ps, frozenset())[(0, 1)]
+    assert detour == 9.0
+    # 0 -> 2 is an edge, so the flip turns it into the other kind of mismatch
+    assert set(rep.oracle_mismatches) == {(0, 1, detour), (0, 2, 5.0)}
+
+
+def test_oracle_mismatch_on_exact_pair_reports_gap(monkeypatch):
+    g, ps = path_graph()
+    monkeypatch.setattr(verify, "_forward_reach", flipped_reach([0]))
+    rep = sp.verify_robust_spanner(g, ps, sp.build_scheme(3, 1), frozenset(), seed=1)
+    assert set(rep.oracle_mismatches) == {(0, 1, 1.0), (0, 2, 5.0)}
+    assert not rep.passed
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    n=st.integers(min_value=20, max_value=140),
+    ell=st.integers(min_value=1, max_value=2),
+    model=st.sampled_from(["uniform", "clustered", "expgaps"]),
+    drop=st.floats(min_value=0.0, max_value=0.6),
+    seed=st.integers(min_value=0, max_value=2**16),
+    flip_all=st.booleans(),
+    oracle_sample=st.sampled_from([20, 500]),
+    exhaustive_limit=st.sampled_from([64, 512]),
+)
+@example(
+    n=77, ell=2, model="uniform", drop=0.57, seed=1, flip_all=True, oracle_sample=20, exhaustive_limit=64
+)
+def test_bounded_pricing_matches_unbounded_property(
+    n, ell, model, drop, seed, flip_all, oracle_sample, exhaustive_limit
+):
+    """Stopping oracle searches at the pair's gap never changes a report.
+
+    Edges are dropped so that some pairs are not exact, and whole reach rows
+    (or all of them) are inverted so that mismatches of both kinds reach
+    the report, including detours longer than any gap the bounded search
+    from their source was asked for.
+    """
+    ps = sp.generate_points(n, model, seed)
+    scheme = sp.build_scheme(n, ell)
+    g = sp.build_spanner(ps, scheme)
+    rng = np.random.default_rng(seed)
+    g = sp.SpannerGraph(n, g.edges[rng.random(g.edge_count) >= drop])
+    fs = frozenset(rng.choice(n, size=int(rng.integers(0, n // 10 + 1)), replace=False).tolist())
+    rows = range(n) if flip_all else rng.choice(n, size=3, replace=False).tolist()
+    kwargs = dict(
+        exhaustive_limit=exhaustive_limit, pair_sample=300, oracle_sample=oracle_sample, seed=seed
+    )
+    with mock.patch.object(verify, "_forward_reach", flipped_reach(rows)):
+        bounded = sp.verify_robust_spanner(g, ps, scheme, fs, **kwargs)
+        with mock.patch.object(
+            verify, "_price_within_gap", lambda mat, pairs, coords: verify._price_pairs(mat, pairs)
+        ):
+            unbounded = sp.verify_robust_spanner(g, ps, scheme, fs, **kwargs)
+    assert bounded.to_json() == unbounded.to_json()
