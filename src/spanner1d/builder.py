@@ -53,17 +53,25 @@ class SpannerGraph:
             arr = arr.reshape(0, 2)
         if arr.ndim != 2 or arr.shape[1] != 2:
             raise ValueError(f"edges must be vertex pairs, got shape {arr.shape}")
-        u = np.minimum(arr[:, 0], arr[:, 1])
-        v = np.maximum(arr[:, 0], arr[:, 1])
-        bad = (u == v) | (u < 0) | (v >= self.n)
+        keys = np.minimum(arr[:, 0], arr[:, 1])
+        high = np.maximum(arr[:, 0], arr[:, 1])
+        bad = (keys == high) | (keys < 0) | (high >= self.n)
         if bad.any():
             a, b = arr[int(np.argmax(bad))].tolist()
             if a == b:
                 raise ValueError(f"self-loop at vertex {a}")
             raise SchemeMismatch(f"edge ({a}, {b}) outside vertex range [0, {self.n})")
-        keys = np.sort(u * self.n + v)
-        keys = keys[np.diff(keys, prepend=-1) != 0]
-        out = np.stack(np.divmod(keys, self.n), axis=1)
+        # one key u * n + v per edge, built and sorted in place to bound the peak
+        keys *= self.n
+        keys += high
+        del high, bad
+        keys.sort()
+        first = np.empty(keys.size, dtype=bool)
+        first[:1] = True
+        np.not_equal(keys[1:], keys[:-1], out=first[1:])
+        keys = keys[first]
+        out = np.empty((keys.size, 2), dtype=np.int64)
+        np.divmod(keys, self.n, out=(out[:, 0], out[:, 1]))
         indptr = np.searchsorted(out[:, 0], np.arange(self.n + 1))
         out.flags.writeable = False
         indptr.flags.writeable = False
@@ -181,21 +189,21 @@ def build_spanner(
         top = _pairs_within(np.array([0]), np.array([lo.size]))
         rules.append(("matching-top", _matchings(lo, hi, *top)))
 
-    u = np.concatenate([a for _, (a, _) in rules])
-    v = np.concatenate([b for _, (_, b) in rules])
+    tags = [tag for tag, _ in rules]
+    sizes = [a.size for _, (a, _) in rules]
+    pairs = np.empty((sum(sizes), 2), dtype=np.int64)
+    np.concatenate([a for _, (a, _) in rules], out=pairs[:, 0])
+    np.concatenate([b for _, (_, b) in rules], out=pairs[:, 1])
+    del rules
     prov = None
     if with_provenance:
-        rule = np.repeat(np.arange(len(rules)), [a.size for _, (a, _) in rules])
-        keys = u * n + v
+        rule = np.repeat(np.arange(len(tags)), sizes)
+        keys = pairs[:, 0] * n + pairs[:, 1]
         order = np.argsort(keys, kind="stable")
-        u, v, rule = u[order], v[order], rule[order]
         first = np.diff(keys[order], prepend=-1) != 0
-        tags = [tag for tag, _ in rules]
-        prov = {
-            (a, b): tags[r]
-            for a, b, r in zip(u[first].tolist(), v[first].tolist(), rule[first].tolist())
-        }
-    return SpannerGraph(n, np.stack((u, v), axis=1), prov)
+        u, v, rule = (col[order][first].tolist() for col in (*pairs.T, rule))
+        prov = {(a, b): tags[r] for a, b, r in zip(u, v, rule)}
+    return SpannerGraph(n, pairs, prov)
 
 
 def edge_count_bound(n: int, ell: int) -> float:

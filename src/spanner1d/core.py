@@ -33,7 +33,7 @@ class IndexOutOfRange(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class PointSet:
-    """Strictly increasing coordinates of n >= 1 points on the real line.
+    """Strictly increasing finite coordinates of n >= 1 points on the real line.
 
     The constructor expects coordinates already sorted; use
     :func:`make_point_set` to sort arbitrary input and reject duplicates.
@@ -45,6 +45,8 @@ class PointSet:
         arr = np.array(self.coords, dtype=np.float64)
         if arr.ndim != 1 or arr.size == 0:
             raise EmptyInput("a point set needs at least one coordinate")
+        if not np.isfinite(arr).all():
+            raise ValueError("coordinates must be finite, not NaN or infinite")
         gaps = np.diff(arr)
         if np.any(gaps == 0.0):
             raise DuplicateCoordinate("coordinates must be pairwise distinct")

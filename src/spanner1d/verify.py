@@ -7,6 +7,15 @@ therefore purely combinatorial: after deleting failed vertices, every
 surviving pair outside the ignored set must be joined by an
 index-monotone path. A weighted shortest-path oracle (independent
 numeric route) cross-checks sampled pairs and prices violations.
+
+The oracle certifies exactness on a directed copy of the alive edges,
+each pointing from its smaller to its larger coordinate, before any
+full search: a path in the copy never backtracks, and one whose summed
+length passes the tolerance test is a real alive path the full search
+would accept too. Only pairs left uncertified are searched on the whole
+alive graph. The copy is built from the edge array and the coordinates
+alone, never from the bitset reach or from index order, so the oracle
+stays independent of the combinatorial criterion.
 """
 
 from __future__ import annotations
@@ -95,21 +104,44 @@ def _bits(value: int):
         value ^= low
 
 
-def _oracle_csr(graph: SpannerGraph, ps: PointSet, removed: frozenset) -> csr_matrix:
-    """Symmetric CSR of the alive subgraph, each edge weighted by its gap.
-
-    Removed vertices keep no edges, so shortest paths to them read inf.
-    """
+def _alive_edges(graph: SpannerGraph, removed: frozenset) -> np.ndarray:
+    """The (E, 2) edges whose endpoints both survive ``removed``."""
     edges = graph.edges
     if removed:
         dead = np.zeros(graph.n, dtype=bool)
         dead[list(removed)] = True
         edges = edges[~(dead[edges[:, 0]] | dead[edges[:, 1]])]
+    return edges
+
+
+def _oracle_csr(graph: SpannerGraph, ps: PointSet, removed: frozenset) -> csr_matrix:
+    """Symmetric CSR of the alive subgraph, each edge weighted by its gap.
+
+    Removed vertices keep no edges, so shortest paths to them read inf.
+    """
+    edges = _alive_edges(graph, removed)
     u, v = edges[:, 0], edges[:, 1]
     w = np.abs(ps.coords[v] - ps.coords[u])
     return csr_matrix(
         (np.concatenate([w, w]), (np.concatenate([u, v]), np.concatenate([v, u]))),
         shape=(graph.n, graph.n),
+    )
+
+
+def _forward_csr(graph: SpannerGraph, ps: PointSet, removed: frozenset) -> csr_matrix:
+    """Directed CSR of the alive subgraph, each edge pointing up the line.
+
+    An edge runs from its smaller to its larger coordinate, weighted by the
+    gap, so no path in it ever backtracks. The direction is read off the
+    coordinates alone, never off vertex indices.
+    """
+    edges = _alive_edges(graph, removed)
+    ends = ps.coords[edges]
+    up = ends[:, 0] < ends[:, 1]
+    tail = np.where(up, edges[:, 0], edges[:, 1])
+    head = np.where(up, edges[:, 1], edges[:, 0])
+    return csr_matrix(
+        (np.abs(ends[:, 1] - ends[:, 0]), (tail, head)), shape=(graph.n, graph.n)
     )
 
 
@@ -238,6 +270,22 @@ def _price_within_gap(mat, pairs, coords):
     return out
 
 
+def _price_forward(graph: SpannerGraph, ps: PointSet, removed: frozenset, pairs):
+    """Forward length per pair on ``_forward_csr``, inf past the pair's gap.
+
+    Each pair is searched from its endpoint with the smaller coordinate.
+    A finite length is the shortest alive path that never backtracks.
+    """
+    coords = ps.coords
+    oriented = [(x, y) if coords[x] < coords[y] else (y, x) for x, y in pairs]
+    return _price_within_gap(_forward_csr(graph, ps, removed), oriented, coords)
+
+
+def _within_tolerance(found: float, want: float) -> bool:
+    """The oracle's exactness test: finite and within 1e-12 of the gap, relatively."""
+    return math.isfinite(found) and abs(found - want) <= ORACLE_RELATIVE_TOLERANCE * want
+
+
 def _check_pairs_exhaustive(reach, targets):
     """Scan all target pairs; returns (pairs, exact, missing_pairs)."""
     pairs = 0
@@ -272,11 +320,15 @@ def verify_robust_spanner(
     All pairs are checked when n <= exhaustive_limit, otherwise
     ``pair_sample`` seeded random pairs. ``oracle_sample`` pairs are
     additionally priced by the numeric oracle and must agree with the
-    monotone criterion to within a 1e-12 relative tolerance. The oracle
-    prices them by searches bounded at ``gap * (1 + 2 * tol)`` per
-    source; a mismatch left unsettled there is re-priced unbounded.
-    Ignored-set stretch is priced from the ignored endpoint, and
-    violations without a bound.
+    monotone criterion to within a 1e-12 relative tolerance. Each pair is
+    first searched on a coordinate-oriented copy of the alive edges, from
+    its left endpoint and bounded at ``gap * (1 + 2 * tol)``; a forward
+    path within tolerance certifies it. The copy comes from the edge array
+    and the coordinates, not from the reach, so the two checks stay
+    independent. Uncertified pairs get the same bounded search on the full
+    alive graph, and every mismatch is re-priced there without a bound, so
+    reports carry full-graph lengths. Ignored-set stretch is priced from
+    the ignored endpoint, and violations without a bound.
     """
     if not (graph.n == ps.n == scheme.n):
         raise SchemeMismatch(
@@ -322,23 +374,24 @@ def verify_robust_spanner(
     oracle_mismatches = []
     if oracle_sample > 0 and len(targets) >= 2:
         sample = _sample_pairs(rng, targets, min(oracle_sample, 4 * len(targets)))
-        priced = _price_within_gap(oracle, sample, ps.coords)
-        for (x, y), found in zip(sample, priced):
-            oracle_checked += 1
-            want = float(ps.coords[y] - ps.coords[x])
-            numeric_exact = math.isfinite(found) and abs(found - want) <= (
-                ORACLE_RELATIVE_TOLERANCE * want
-            )
-            mono_exact = bool((reach[x] >> y) & 1)
-            if mono_exact != numeric_exact:
-                oracle_mismatches.append((x, y, found))
-        # a mismatch the bounded search left unsettled reports its full length
-        unsettled = [(x, y) for x, y, d in oracle_mismatches if math.isinf(d)]
-        if unsettled:
-            full = dict(zip(unsettled, _price_pairs(oracle, unsettled)))
-            oracle_mismatches = [
-                (x, y, full.get((x, y), d)) for x, y, d in oracle_mismatches
-            ]
+        wants = [float(ps.coords[y] - ps.coords[x]) for x, y in sample]
+        # a forward path within tolerance certifies its pair; the rest go
+        # through the bounded search on the full alive graph
+        forward = _price_forward(graph, ps, fs, sample)
+        numeric_exact = [_within_tolerance(d, want) for d, want in zip(forward, wants)]
+        uncertified = [i for i, ok in enumerate(numeric_exact) if not ok]
+        if uncertified:
+            full = _price_within_gap(oracle, [sample[i] for i in uncertified], ps.coords)
+            for i, d in zip(uncertified, full):
+                numeric_exact[i] = _within_tolerance(d, wants[i])
+        oracle_checked = len(sample)
+        oracle_mismatches = [
+            (x, y) for (x, y), ok in zip(sample, numeric_exact) if bool((reach[x] >> y) & 1) != ok
+        ]
+        # every mismatch reports its full-graph length, not a bounded one
+        if oracle_mismatches:
+            full = _price_pairs(oracle, oracle_mismatches)
+            oracle_mismatches = [(x, y, d) for (x, y), d in zip(oracle_mismatches, full)]
 
     ignored_alive = sorted(f_star - fs)
     max_stretch = math.nan

@@ -87,6 +87,22 @@ def test_verify_rejects_corrupted_edge_list(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_non_finite_points_file_rejected(tmp_path, capsys):
+    pts = tmp_path / "pts.txt"
+    pts.write_text("0.0\nnan\n2.0\n")
+    assert main(["build", "--points", str(pts), "--out", str(tmp_path / "g")]) == 2
+    assert "finite" in capsys.readouterr().err
+    assert not (tmp_path / "g.edges").exists()
+    out = tmp_path / "h"
+    assert main(["build", "--n", "16", "--ell", "1", "--out", str(out)]) == 0
+    points = tmp_path / "h.points"
+    lines = points.read_text().splitlines()
+    lines[5] = "nan"
+    points.write_text("\n".join(lines) + "\n")
+    assert main(["verify", "--graph", str(out)]) == 2
+    assert "finite" in capsys.readouterr().err
+
+
 def test_verify_failure_model_flags(tmp_path, capsys):
     assert main(["verify", "--n", "64", "--ell", "2", "--wipe-half", "1:3"]) == 0
     assert main(["verify", "--n", "64", "--ell", "1", "--wipe-interval", "10:20"]) == 0

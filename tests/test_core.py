@@ -32,6 +32,16 @@ def test_unsorted_constructor_input_rejected():
         sp.PointSet(np.array([2.0, 1.0]))
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_coordinates_rejected(bad):
+    with pytest.raises(ValueError, match="finite"):
+        sp.make_point_set([0.0, bad, 2.0])
+    with pytest.raises(ValueError, match="finite"):
+        sp.PointSet(np.array([0.0, 1.0, bad]))
+    with pytest.raises(ValueError, match="finite"):
+        sp.parse_points(f"0.0\n{bad}\n2.0\n")
+
+
 def test_coords_are_frozen():
     ps = sp.make_point_set([1.0, 2.0])
     with pytest.raises(ValueError):

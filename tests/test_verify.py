@@ -291,3 +291,101 @@ def test_bounded_pricing_matches_unbounded_property(
         ):
             unbounded = sp.verify_robust_spanner(g, ps, scheme, fs, **kwargs)
     assert bounded.to_json() == unbounded.to_json()
+
+
+def never_certify(graph, ps, removed, pairs):
+    """``_price_forward`` with no forward path found, so every pair takes the full search."""
+    return [math.inf] * len(pairs)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    n=st.integers(min_value=20, max_value=140),
+    ell=st.integers(min_value=1, max_value=2),
+    model=st.sampled_from(["uniform", "clustered", "expgaps"]),
+    drop=st.floats(min_value=0.0, max_value=0.6),
+    seed=st.integers(min_value=0, max_value=2**16),
+    flip_all=st.booleans(),
+    oracle_sample=st.sampled_from([20, 500]),
+    exhaustive_limit=st.sampled_from([64, 512]),
+)
+@example(
+    n=77, ell=2, model="uniform", drop=0.57, seed=1, flip_all=True, oracle_sample=20, exhaustive_limit=64
+)
+def test_forward_certificates_match_full_search_property(
+    n, ell, model, drop, seed, flip_all, oracle_sample, exhaustive_limit
+):
+    """Certifying pairs on the forward copy never changes a report.
+
+    Same instances as the bounded-pricing property: dropped edges, random
+    failures and inverted reach rows. The reference run certifies nothing,
+    so every sampled pair goes through the search on the full alive graph.
+    """
+    ps = sp.generate_points(n, model, seed)
+    scheme = sp.build_scheme(n, ell)
+    g = sp.build_spanner(ps, scheme)
+    rng = np.random.default_rng(seed)
+    g = sp.SpannerGraph(n, g.edges[rng.random(g.edge_count) >= drop])
+    fs = frozenset(rng.choice(n, size=int(rng.integers(0, n // 10 + 1)), replace=False).tolist())
+    rows = range(n) if flip_all else rng.choice(n, size=3, replace=False).tolist()
+    kwargs = dict(
+        exhaustive_limit=exhaustive_limit, pair_sample=300, oracle_sample=oracle_sample, seed=seed
+    )
+    with mock.patch.object(verify, "_forward_reach", flipped_reach(rows)):
+        certified = sp.verify_robust_spanner(g, ps, scheme, fs, **kwargs)
+        with mock.patch.object(verify, "_price_forward", never_certify):
+            full = sp.verify_robust_spanner(g, ps, scheme, fs, **kwargs)
+    assert certified.to_json() == full.to_json()
+
+
+def test_detour_within_tolerance_reaches_the_full_search():
+    # 0 and 1 meet only through 2, which sits 1e-14 past 1: the forward copy
+    # has no path, but the detour passes the oracle's 1e-12 test
+    ps = sp.make_point_set([0.0, 1.0, 1.0 + 1e-14])
+    g = sp.SpannerGraph(3, [(0, 2), (1, 2)])
+    assert verify._price_forward(g, ps, frozenset(), [(0, 1)]) == [math.inf]
+    detour = sp.brute_force_oracle(g, ps, frozenset())[(0, 1)]
+    assert 1.0 < detour <= 1.0 + ORACLE_RELATIVE_TOLERANCE
+    rep = sp.verify_robust_spanner(g, ps, sp.build_scheme(3, 1), frozenset(), seed=1)
+    assert rep.violations == ((0, 1, detour),)
+    assert set(rep.oracle_mismatches) == {(0, 1, detour)}
+
+
+def test_flipped_exact_pair_reports_full_graph_length(monkeypatch):
+    # the only forward path 1 -> 2 -> 3 -> 4 sums to 3 + 4.4e-16 in floats;
+    # the detour through vertex 0, just left of 1, sums to exactly 3
+    ps = sp.make_point_set([-1e-20, 0.0, 0.7, 2.9, 3.0])
+    g = sp.SpannerGraph(5, [(1, 2), (2, 3), (3, 4), (0, 1), (0, 4)])
+    assert verify._price_forward(g, ps, frozenset(), [(1, 4)]) == [3.0000000000000004]
+    exact = sp.brute_force_oracle(g, ps, frozenset())
+    assert exact[(1, 4)] == 3.0
+    monkeypatch.setattr(verify, "_forward_reach", flipped_reach([1]))
+    rep = sp.verify_robust_spanner(g, ps, sp.build_scheme(5, 1), frozenset(), seed=1)
+    assert set(rep.oracle_mismatches) == {(1, y, exact[(1, y)]) for y in (2, 3, 4)}
+
+
+@pytest.mark.parametrize(
+    "n, ell, model", [(300, 1, "expgaps"), (700, 2, "clustered"), (700, 3, "uniform")]
+)
+def test_forward_step_certifies_exactly_the_monotone_pairs(n, ell, model):
+    """On well-spread points a pair is certified iff it has a monotone path.
+
+    So the forward step, not the full search, settles every exact pair.
+    """
+    ps = sp.generate_points(n, model, 4)
+    scheme = sp.build_scheme(n, ell)
+    g = sp.build_spanner(ps, scheme)
+    rng = np.random.default_rng(n)
+    g = sp.SpannerGraph(n, g.edges[rng.random(g.edge_count) >= 0.6])
+    fs = sp.random_failures(n, n // 20, 2)
+    alive = [v for v in range(n) if v not in fs]
+    pairs = [tuple(sorted(p)) for p in rng.choice(alive, size=(400, 2)).tolist() if p[0] != p[1]]
+    reach = _forward_reach(g, [v not in fs for v in range(n)])
+    lengths = verify._price_forward(g, ps, fs, pairs)
+    certified = [
+        verify._within_tolerance(d, ps.coords[y] - ps.coords[x])
+        for (x, y), d in zip(pairs, lengths)
+    ]
+    monotone = [bool((reach[x] >> y) & 1) for x, y in pairs]
+    assert certified == monotone
+    assert 0 < sum(certified) < len(pairs)
