@@ -97,11 +97,33 @@ def _forward_reach(graph: SpannerGraph, alive) -> list:
     return reach
 
 
-def _bits(value: int):
-    while value:
-        low = value & -value
-        yield low.bit_length() - 1
-        value ^= low
+# bytes of packed rows converted per step: bounds the ints alive at once
+_PACK_CHUNK_BYTES = 1 << 22
+
+_POPCOUNT = np.array([bin(i).count("1") for i in range(256)], dtype=np.uint8)
+
+
+def _pack_reach(reach: list, out: np.ndarray) -> np.ndarray:
+    """Pack the ``n``-bit rows of ``reach`` little-endian into ``out``.
+
+    Bit ``y`` of row ``x`` lands in ``out[x, y >> 3]`` at bit ``y & 7``.
+    Rows are converted a bounded chunk at a time, and each chunk's ints
+    are dropped from ``reach`` once packed, so the ints and the matrix are
+    never both held in full.
+    """
+    n, n_bytes = out.shape
+    step = max(1, _PACK_CHUNK_BYTES // n_bytes)
+    for lo in range(0, n, step):
+        hi = min(lo + step, n)
+        chunk = b"".join([r.to_bytes(n_bytes, "little") for r in reach[lo:hi]])
+        out[lo:hi] = np.frombuffer(chunk, dtype=np.uint8).reshape(hi - lo, n_bytes)
+        reach[lo:hi] = [0] * (hi - lo)
+    return out
+
+
+def _has_bits(packed: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """Bit ``ys[i]`` of packed row ``xs[i]``, for every i at once."""
+    return ((packed[xs, ys >> 3] >> (ys & 7).astype(np.uint8)) & 1).astype(bool)
 
 
 def _alive_edges(graph: SpannerGraph, removed: frozenset) -> np.ndarray:
@@ -223,21 +245,27 @@ class VerificationReport:
         )
 
 
-def _sample_pairs(rng, pool, count):
-    """Seeded distinct-endpoint pairs drawn uniformly from ``pool``."""
+def _sample_pairs(rng, pool: np.ndarray, count: int):
+    """Seeded distinct-endpoint pairs drawn uniformly from ``pool``.
+
+    Returns int64 arrays ``(xs, ys)`` with ``xs < ys``. Each round draws
+    ``2 * need + 8`` indices for either end and keeps the first ``need``
+    draws whose indices differ, until ``count`` pairs are kept.
+    """
     t = len(pool)
-    pairs = []
-    while len(pairs) < count:
-        need = count - len(pairs)
+    firsts, seconds = [], []
+    have = 0
+    while have < count:
+        need = count - have
         a = rng.integers(0, t, size=2 * need + 8)
         b = rng.integers(0, t, size=2 * need + 8)
-        for i, j in zip(a.tolist(), b.tolist()):
-            if i != j:
-                x, y = pool[i], pool[j]
-                pairs.append((x, y) if x < y else (y, x))
-                if len(pairs) == count:
-                    break
-    return pairs
+        keep = np.flatnonzero(a != b)[:need]
+        firsts.append(pool[a[keep]])
+        seconds.append(pool[b[keep]])
+        have += len(keep)
+    u = np.concatenate(firsts) if firsts else np.empty(0, dtype=np.int64)
+    v = np.concatenate(seconds) if seconds else np.empty(0, dtype=np.int64)
+    return np.minimum(u, v), np.maximum(u, v)
 
 
 def _price_pairs(mat, pairs):
@@ -286,21 +314,34 @@ def _within_tolerance(found: float, want: float) -> bool:
     return math.isfinite(found) and abs(found - want) <= ORACLE_RELATIVE_TOLERANCE * want
 
 
-def _check_pairs_exhaustive(reach, targets):
-    """Scan all target pairs; returns (pairs, exact, missing_pairs)."""
-    pairs = 0
+def _check_pairs_exhaustive(packed: np.ndarray, targets: np.ndarray):
+    """Scan all target pairs; returns (pairs, exact, missing_pairs).
+
+    Row ``x`` is counted only at targets strictly above ``x``, so the row's
+    own bit and anything below it never count. Missing pairs come in
+    descending ``x``, then ascending ``y``.
+    """
+    t = len(targets)
+    n_bytes = packed.shape[1]
+    wanted = np.zeros(8 * n_bytes, dtype=bool)
+    wanted[targets] = True
+    target_mask = np.packbits(wanted, bitorder="little")
+    columns = np.arange(n_bytes)
     exact = 0
     missing = []
-    mask_above = 0
-    for x in reversed(targets):
-        pairs += mask_above.bit_count()
-        hit = reach[x] & mask_above
-        exact += hit.bit_count()
-        gone = mask_above & ~reach[x]
-        if gone:
-            missing.extend((x, y) for y in _bits(gone))
-        mask_above |= 1 << x
-    return pairs, exact, missing
+    step = max(1, _PACK_CHUNK_BYTES // (8 * n_bytes))
+    for stop in range(t, 0, -step):
+        xs = targets[max(0, stop - step) : stop][::-1]
+        byte = xs >> 3
+        above = np.where(columns > byte[:, None], target_mask, 0).astype(np.uint8)
+        above[np.arange(len(xs)), byte] = target_mask[byte] & (0xFE << (xs & 7)).astype(np.uint8)
+        rows = packed[xs]
+        exact += int(_POPCOUNT[rows & above].sum(dtype=np.int64))
+        gone = above & ~rows
+        if gone.any():
+            at, ys = np.nonzero(np.unpackbits(gone, axis=1, bitorder="little"))
+            missing.extend(zip(xs[at].tolist(), ys.tolist()))
+    return t * (t - 1) // 2, exact, missing
 
 
 def verify_robust_spanner(
@@ -318,21 +359,33 @@ def verify_robust_spanner(
     """Check that survivors outside the ignored set keep exact paths.
 
     All pairs are checked when n <= exhaustive_limit, otherwise
-    ``pair_sample`` seeded random pairs. ``oracle_sample`` pairs are
-    additionally priced by the numeric oracle and must agree with the
-    monotone criterion to within a 1e-12 relative tolerance. Each pair is
-    first searched on a coordinate-oriented copy of the alive edges, from
-    its left endpoint and bounded at ``gap * (1 + 2 * tol)``; a forward
-    path within tolerance certifies it. The copy comes from the edge array
-    and the coordinates, not from the reach, so the two checks stay
-    independent. Uncertified pairs get the same bounded search on the full
-    alive graph, and every mismatch is re-priced there without a bound, so
-    reports carry full-graph lengths. Ignored-set stretch is priced from
-    the ignored endpoint, and violations without a bound.
+    ``pair_sample`` seeded random pairs. The forward reach is packed into
+    one ``(n, ceil(n / 8))`` uint8 matrix, bit ``y`` of row ``x`` set when
+    an index-monotone alive path joins ``x`` to ``y > x``. Sampled pairs
+    stay index arrays and are looked up in it in one vectorised step; the
+    exhaustive check counts each row's bits above ``x`` at targets with a
+    popcount table. Only missing pairs become tuples. The strong variant
+    repacks the same matrix with the whole ignored set deleted.
+
+    ``oracle_sample`` pairs are additionally priced by the numeric oracle
+    and must agree with the monotone criterion to within a 1e-12 relative
+    tolerance. Each pair is first searched on a coordinate-oriented copy of
+    the alive edges, from its left endpoint and bounded at
+    ``gap * (1 + 2 * tol)``; a forward path within tolerance certifies it.
+    The copy comes from the edge array and the coordinates, not from the
+    reach, so the two checks stay independent. Uncertified pairs get the
+    same bounded search on the full alive graph, and every mismatch is
+    re-priced there without a bound, so reports carry full-graph lengths.
+    Ignored-set stretch is priced from the ignored endpoint, and violations
+    without a bound.
     """
     if not (graph.n == ps.n == scheme.n):
         raise SchemeMismatch(
             f"size mismatch: graph n={graph.n}, points n={ps.n}, scheme n={scheme.n}"
+        )
+    if pair_sample < 0 or oracle_sample < 0:
+        raise ValueError(
+            f"pair_sample={pair_sample} and oracle_sample={oracle_sample} must be >= 0"
         )
     n = graph.n
     fs = check_failures(failures, n)
@@ -341,26 +394,23 @@ def verify_robust_spanner(
     bound_ok = within_spec_bound(trace)
 
     alive = [v not in fs for v in range(n)]
-    targets = [v for v in range(n) if v not in f_star]
-    reach = _forward_reach(graph, alive)
+    targets = np.array(sorted(set(range(n)) - f_star), dtype=np.int64)
+    packed = _pack_reach(_forward_reach(graph, alive), np.empty((n, (n + 7) // 8), np.uint8))
     rng = np.random.default_rng(seed)
 
     exhaustive = n <= exhaustive_limit
     if exhaustive:
-        pairs_checked, exact_pairs, missing = _check_pairs_exhaustive(reach, targets)
-        strong_pairs = None
+        pairs_checked, exact_pairs, missing = _check_pairs_exhaustive(packed, targets)
     else:
-        strong_pairs = (
-            _sample_pairs(rng, targets, pair_sample) if len(targets) >= 2 else []
-        )
-        pairs_checked = len(strong_pairs)
-        exact_pairs = 0
-        missing = []
-        for x, y in strong_pairs:
-            if (reach[x] >> y) & 1:
-                exact_pairs += 1
-            else:
-                missing.append((x, y))
+        if len(targets) >= 2:
+            xs, ys = _sample_pairs(rng, targets, pair_sample)
+        else:
+            xs = ys = np.empty(0, dtype=np.int64)
+        hit = _has_bits(packed, xs, ys)
+        pairs_checked = len(xs)
+        exact_pairs = int(hit.sum())
+        # only the missing pairs become tuples
+        missing = list(zip(xs[~hit].tolist(), ys[~hit].tolist()))
 
     oracle = _oracle_csr(graph, ps, fs) if missing or oracle_sample > 0 else None
     violations = []
@@ -373,8 +423,9 @@ def verify_robust_spanner(
     oracle_checked = 0
     oracle_mismatches = []
     if oracle_sample > 0 and len(targets) >= 2:
-        sample = _sample_pairs(rng, targets, min(oracle_sample, 4 * len(targets)))
-        wants = [float(ps.coords[y] - ps.coords[x]) for x, y in sample]
+        oxs, oys = _sample_pairs(rng, targets, min(oracle_sample, 4 * len(targets)))
+        sample = list(zip(oxs.tolist(), oys.tolist()))
+        wants = (ps.coords[oys] - ps.coords[oxs]).tolist()
         # a forward path within tolerance certifies its pair; the rest go
         # through the bounded search on the full alive graph
         forward = _price_forward(graph, ps, fs, sample)
@@ -385,8 +436,9 @@ def verify_robust_spanner(
             for i, d in zip(uncertified, full):
                 numeric_exact[i] = _within_tolerance(d, wants[i])
         oracle_checked = len(sample)
+        monotone = _has_bits(packed, oxs, oys).tolist()
         oracle_mismatches = [
-            (x, y) for (x, y), ok in zip(sample, numeric_exact) if bool((reach[x] >> y) & 1) != ok
+            pair for pair, mono, ok in zip(sample, monotone, numeric_exact) if mono != ok
         ]
         # every mismatch reports its full-graph length, not a bounded one
         if oracle_mismatches:
@@ -415,13 +467,14 @@ def verify_robust_spanner(
 
     strong_ok = None
     if strong_check:
+        # the second pass overwrites the first's matrix, no longer needed
         alive2 = [v not in f_star for v in range(n)]
-        reach2 = _forward_reach(graph, alive2)
+        packed = _pack_reach(_forward_reach(graph, alive2), packed)
         if exhaustive:
-            _, exact2, missing2 = _check_pairs_exhaustive(reach2, targets)
-            strong_ok = not missing2
+            pairs2, exact2, _ = _check_pairs_exhaustive(packed, targets)
+            strong_ok = exact2 == pairs2
         else:
-            strong_ok = all((reach2[x] >> y) & 1 for x, y in strong_pairs)
+            strong_ok = bool(_has_bits(packed, xs, ys).all())
 
     return VerificationReport(
         n=n,

@@ -110,6 +110,14 @@ def test_verify_failure_model_flags(tmp_path, capsys):
     assert main(["verify", "--n", "64", "--ell", "1", "--wipe-interval", "bad"]) == 2
 
 
+def test_verify_rejects_negative_samples(capsys):
+    assert main(["verify", "--n", "700", "--pair-sample", "-1"]) == 2
+    assert "pair_sample=-1" in capsys.readouterr().err
+    assert main(["verify", "--n", "700", "--oracle-sample", "-3"]) == 2
+    err = capsys.readouterr()
+    assert "oracle_sample=-3" in err.err and "PASS" not in err.out
+
+
 def test_verify_bad_failure_index(tmp_path, capsys):
     f = tmp_path / "f.txt"
     f.write_text("99\n")

@@ -9,7 +9,13 @@ from hypothesis import strategies as st
 
 import spanner1d as sp
 from spanner1d import verify
-from spanner1d.verify import ORACLE_RELATIVE_TOLERANCE, _forward_reach
+from spanner1d.verify import (
+    ORACLE_RELATIVE_TOLERANCE,
+    _check_pairs_exhaustive,
+    _forward_reach,
+    _pack_reach,
+    _sample_pairs,
+)
 
 
 def path_graph():
@@ -389,3 +395,143 @@ def test_forward_step_certifies_exactly_the_monotone_pairs(n, ell, model):
     monotone = [bool((reach[x] >> y) & 1) for x, y in pairs]
     assert certified == monotone
     assert 0 < sum(certified) < len(pairs)
+
+
+def loop_sample_pairs(rng, pool, count):
+    """The tuple-at-a-time sampler the array version replaced, kept as its reference."""
+    t = len(pool)
+    pairs = []
+    while len(pairs) < count:
+        need = count - len(pairs)
+        a = rng.integers(0, t, size=2 * need + 8)
+        b = rng.integers(0, t, size=2 * need + 8)
+        for i, j in zip(a.tolist(), b.tolist()):
+            if i != j:
+                x, y = pool[i], pool[j]
+                pairs.append((x, y) if x < y else (y, x))
+                if len(pairs) == count:
+                    break
+    return pairs
+
+
+def bigint_check_pairs_exhaustive(reach, targets):
+    """The bigint exhaustive scan the packed count replaced, kept as its reference."""
+    pairs = exact = mask_above = 0
+    missing = []
+    for x in reversed(targets):
+        pairs += mask_above.bit_count()
+        exact += (reach[x] & mask_above).bit_count()
+        gone = mask_above & ~reach[x]
+        missing.extend((x, y) for y in range(x + 1, gone.bit_length()) if (gone >> y) & 1)
+        mask_above |= 1 << x
+    return pairs, exact, missing
+
+
+def packed(reach, n):
+    """``reach`` packed as ``n``-bit rows, leaving the list itself intact."""
+    return _pack_reach(list(reach), np.empty((len(reach), (n + 7) // 8), np.uint8))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    t=st.integers(min_value=2, max_value=3000),
+    count=st.sampled_from([0, 1, 20_000]),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+@example(t=2, count=20_000, seed=0)
+@example(t=2, count=1, seed=3)
+def test_sample_pairs_matches_loop_reference(t, count, seed):
+    """Same pairs, same order, same generator state as the tuple loop."""
+    pool = np.sort(np.random.default_rng(seed).choice(4 * t, size=t, replace=False))
+    rng_new, rng_old = np.random.default_rng(seed), np.random.default_rng(seed)
+    xs, ys = _sample_pairs(rng_new, pool, count)
+    want = loop_sample_pairs(rng_old, pool.tolist(), count)
+    assert xs.dtype == ys.dtype == np.int64
+    assert list(zip(xs.tolist(), ys.tolist())) == want
+    assert rng_new.bit_generator.state == rng_old.bit_generator.state
+
+
+def test_pack_reach_is_little_endian():
+    reach = [0b1011, 1 << 9, 0, (1 << 10) - 1, 1 << 7]
+    rows = packed(reach, 10)
+    assert rows.shape == (5, 2)
+    assert rows[:, 0].tolist() == [0b1011, 0, 0, 0xFF, 0x80]
+    assert rows[:, 1].tolist() == [0, 0b10, 0, 0b11, 0]
+    bits = np.unpackbits(rows, axis=1, bitorder="little")[:, :10]
+    assert [sum(1 << y for y in np.flatnonzero(row)) for row in bits] == reach
+
+
+def test_pack_reach_chunks_release_rows(monkeypatch):
+    monkeypatch.setattr(verify, "_PACK_CHUNK_BYTES", 3)
+    reach = [(1 << y) | 1 for y in range(20)]
+    rows = _pack_reach(reach, np.empty((20, 3), np.uint8))
+    assert reach == [0] * 20
+    for y in range(20):
+        assert rows[y, y >> 3] >> (y & 7) & 1 and rows[y, 0] & 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(min_value=2, max_value=140),
+    ell=st.integers(min_value=1, max_value=2),
+    drop=st.floats(min_value=0.0, max_value=0.6),
+    seed=st.integers(min_value=0, max_value=2**16),
+    flips=st.sampled_from(["none", "some", "all"]),
+)
+@example(n=77, ell=2, drop=0.57, seed=1, flips="all")
+@example(n=9, ell=1, drop=0.5, seed=2, flips="some")
+def test_exhaustive_count_matches_bigint_reference(n, ell, drop, seed, flips):
+    """Counts and missing pairs, in order, agree with the bigint scan.
+
+    Edges are dropped so pairs go missing, and reach rows may be inverted,
+    which sets bits below each row's own vertex and clears its own bit.
+    """
+    ps = sp.generate_points(n, "uniform", seed)
+    scheme = sp.build_scheme(n, ell)
+    g = sp.build_spanner(ps, scheme)
+    rng = np.random.default_rng(seed)
+    g = sp.SpannerGraph(n, g.edges[rng.random(g.edge_count) >= drop])
+    fs = frozenset(rng.choice(n, size=int(rng.integers(0, n // 4 + 1)), replace=False).tolist())
+    f_star = sp.compute_closure(scheme, fs).f_star
+    targets = [v for v in range(n) if v not in f_star]
+    rows = {"none": [], "some": rng.choice(n, size=min(n, 3), replace=False).tolist(),
+            "all": range(n)}[flips]
+    reach = flipped_reach(rows)(g, [v not in fs for v in range(n)])
+    want = bigint_check_pairs_exhaustive(reach, targets)
+    got = _check_pairs_exhaustive(packed(reach, n), np.array(targets, dtype=np.int64))
+    assert got == want
+
+
+def test_exhaustive_missing_pairs_order():
+    # three isolated vertices: every pair is missing
+    reach = [1, 2, 4, 8]
+    pairs, exact, missing = _check_pairs_exhaustive(packed(reach, 4), np.arange(4))
+    assert (pairs, exact) == (6, 0)
+    assert missing == [(2, 3), (1, 2), (1, 3), (0, 1), (0, 2), (0, 3)]
+
+
+@pytest.mark.parametrize("exhaustive_limit", [512, 0])
+def test_strong_variant_reads_its_own_pass(instance, exhaustive_limit):
+    """Deleting the whole ignored set here cuts pairs the first pass keeps."""
+    ps, scheme, g = instance(64, 1, seed=5)
+    fs = frozenset({24, 25, 55})
+    rep = sp.verify_robust_spanner(
+        g, ps, scheme, fs, exhaustive_limit=exhaustive_limit, pair_sample=2000, seed=1
+    )
+    assert rep.passed and rep.violations == ()
+    f_star = sp.compute_closure(scheme, fs).f_star
+    targets = [v for v in range(64) if v not in f_star]
+    reach2 = _forward_reach(g, [v not in f_star for v in range(64)])
+    if exhaustive_limit:
+        want = not bigint_check_pairs_exhaustive(reach2, targets)[2]
+    else:
+        pairs = loop_sample_pairs(np.random.default_rng(1), targets, 2000)
+        want = all((reach2[x] >> y) & 1 for x, y in pairs)
+    assert rep.strong_variant_ok is want is False
+
+
+@pytest.mark.parametrize("kwargs", [dict(pair_sample=-1), dict(oracle_sample=-3)])
+def test_negative_samples_rejected(instance, kwargs):
+    ps, scheme, g = instance(16, 1)
+    with pytest.raises(ValueError, match="must be >= 0"):
+        sp.verify_robust_spanner(g, ps, scheme, frozenset(), exhaustive_limit=0, **kwargs)
