@@ -22,15 +22,11 @@ from pathlib import Path
 import numpy as np
 
 from .core import PointSet
-from .scheme import HalfClusterRef, LayeredScheme
+from .scheme import LayeredScheme
 
 
 class SchemeMismatch(ValueError):
     """A graph, point set, or scheme disagree on the number of vertices."""
-
-
-class OverlappingHalves(ValueError):
-    """Matchings are only defined between disjoint half-clusters."""
 
 
 class SpannerGraph:
@@ -128,19 +124,6 @@ class SpannerGraph:
 
     def __repr__(self) -> str:
         return f"SpannerGraph(n={self.n}, edges={self.edge_count})"
-
-
-def match_halves(a: HalfClusterRef, b: HalfClusterRef) -> list:
-    """Rank-aligned matching between two disjoint half-clusters."""
-    if a.lo < b.hi and b.lo < a.hi:
-        raise OverlappingHalves(
-            f"half-clusters [{a.lo}, {a.hi}) and [{b.lo}, {b.hi}) overlap"
-        )
-    pairs = []
-    for k in range(min(a.size, b.size)):
-        u, v = a.lo + k, b.lo + k
-        pairs.append((u, v) if u < v else (v, u))
-    return pairs
 
 
 def _pairs_within(lo, hi):

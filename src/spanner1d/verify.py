@@ -10,18 +10,25 @@ numeric route) cross-checks sampled pairs and prices violations.
 
 The oracle certifies exactness on a directed copy of the alive edges,
 each pointing from its smaller to its larger coordinate, before any
-full search: a path in the copy never backtracks, and one whose summed
+full search: a path in the copy never backtracks, so every path in it
+between two vertices has their gap as its length, up to rounding, and
+one depth-first path search per pair suffices. A path whose summed
 length passes the tolerance test is a real alive path the full search
-would accept too. Only pairs left uncertified are searched on the whole
-alive graph. The copy is built from the edge array and the coordinates
-alone, never from the bitset reach or from index order, so the oracle
-stays independent of the combinatorial criterion.
+would accept too. The searches of one verify share a budget of one
+examination per alive edge; pairs left uncertified, by the search or
+by the budget, are searched on the whole alive graph, whose matrix is
+built only when some pair needs it. The copy is built from the edge
+array and the coordinates alone, never from the bitset reach or from
+index order, so the oracle stays independent of the combinatorial
+criterion.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -136,35 +143,39 @@ def _alive_edges(graph: SpannerGraph, removed: frozenset) -> np.ndarray:
     return edges
 
 
-def _oracle_csr(graph: SpannerGraph, ps: PointSet, removed: frozenset) -> csr_matrix:
-    """Symmetric CSR of the alive subgraph, each edge weighted by its gap.
+def _oracle_csr(ps: PointSet, edges: np.ndarray) -> csr_matrix:
+    """Symmetric CSR of the alive ``edges``, each weighted by its gap.
 
     Removed vertices keep no edges, so shortest paths to them read inf.
     """
-    edges = _alive_edges(graph, removed)
     u, v = edges[:, 0], edges[:, 1]
     w = np.abs(ps.coords[v] - ps.coords[u])
     return csr_matrix(
         (np.concatenate([w, w]), (np.concatenate([u, v]), np.concatenate([v, u]))),
-        shape=(graph.n, graph.n),
+        shape=(ps.n, ps.n),
     )
 
 
-def _forward_csr(graph: SpannerGraph, ps: PointSet, removed: frozenset) -> csr_matrix:
-    """Directed CSR of the alive subgraph, each edge pointing up the line.
+def _forward_rows(ps: PointSet, edges: np.ndarray):
+    """The alive ``edges`` pointed up the line, as rows ordered by coordinate.
 
-    An edge runs from its smaller to its larger coordinate, weighted by the
-    gap, so no path in it ever backtracks. The direction is read off the
-    coordinates alone, never off vertex indices.
+    An edge runs from its smaller to its larger coordinate. Returns
+    ``(indptr, heads)``: ``heads[indptr[v]:indptr[v + 1]]`` lists the heads
+    of v's edges in increasing coordinate. Direction and order are read off
+    the coordinates alone, never off vertex indices.
     """
-    edges = _alive_edges(graph, removed)
+    n = ps.n
     ends = ps.coords[edges]
     up = ends[:, 0] < ends[:, 1]
     tail = np.where(up, edges[:, 0], edges[:, 1])
     head = np.where(up, edges[:, 1], edges[:, 0])
-    return csr_matrix(
-        (np.abs(ends[:, 1] - ends[:, 0]), (tail, head)), shape=(graph.n, graph.n)
-    )
+    rank = np.empty(n, dtype=np.int64)
+    rank[np.argsort(ps.coords, kind="stable")] = np.arange(n)
+    # edges arrive sorted, so this stable sort runs on near-sorted keys
+    order = np.argsort(tail * n + rank[head], kind="stable")
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(tail, minlength=n), out=indptr[1:])
+    return indptr, head[order]
 
 
 def brute_force_oracle(
@@ -179,7 +190,7 @@ def brute_force_oracle(
     alive = [v for v in range(graph.n) if v not in fs]
     if not alive:
         return {}
-    rows = dijkstra(_oracle_csr(graph, ps, fs), indices=alive)
+    rows = dijkstra(_oracle_csr(ps, _alive_edges(graph, fs)), indices=alive)
     out = {}
     for i, x in enumerate(alive):
         row = rows[i]
@@ -298,15 +309,55 @@ def _price_within_gap(mat, pairs, coords):
     return out
 
 
-def _price_forward(graph: SpannerGraph, ps: PointSet, removed: frozenset, pairs):
-    """Forward length per pair on ``_forward_csr``, inf past the pair's gap.
+def _price_forward(graph: SpannerGraph, ps: PointSet, removed: frozenset, pairs, edges=None):
+    """Length of one alive path per pair that never backtracks, or inf.
 
-    Each pair is searched from its endpoint with the smaller coordinate.
-    A finite length is the shortest alive path that never backtracks.
+    Each pair is searched depth first on ``_forward_rows``, from its
+    endpoint with the smaller coordinate, trying the head with the largest
+    coordinate not past the other endpoint first and never passing it.
+    Every such path has the gap as its length, up to rounding, so any one
+    will do; the length is summed along it in path order. All pairs share
+    one budget of edge examinations, the number of alive edges: a pair
+    still searching when it runs out reads inf, as does every later one.
+    ``edges`` may pass in the alive edges already filtered from ``graph``.
     """
-    coords = ps.coords
-    oriented = [(x, y) if coords[x] < coords[y] else (y, x) for x, y in pairs]
-    return _price_within_gap(_forward_csr(graph, ps, removed), oriented, coords)
+    if edges is None:
+        edges = _alive_edges(graph, removed)
+    indptr, heads = _forward_rows(ps, edges)
+    c = ps.coords.tolist()
+    rows = [None] * len(c)  # a row becomes a list when first entered
+    budget = len(edges)
+
+    def below(v, top):
+        """v's heads not past ``top``, largest coordinate first."""
+        r = rows[v]
+        if r is None:
+            r = rows[v] = heads[indptr[v] : indptr[v + 1]].tolist()
+        return reversed(r[: bisect_right(r, top, key=c.__getitem__)])
+
+    def search(x, y):
+        nonlocal budget
+        top = c[y]
+        seen = {x}
+        # a frame is a vertex, the length to it and its heads left to try
+        stack = [(x, 0.0, below(x, top))]
+        while stack:
+            v, d, left = stack[-1]
+            for w in left:
+                if not budget:
+                    return math.inf
+                budget -= 1
+                if w == y:
+                    return d + abs(c[w] - c[v])
+                if w not in seen:
+                    seen.add(w)
+                    stack.append((w, d + abs(c[w] - c[v]), below(w, top)))
+                    break
+            else:
+                stack.pop()
+        return math.inf
+
+    return [search(x, y) if c[x] < c[y] else search(y, x) for x, y in pairs]
 
 
 def _within_tolerance(found: float, want: float) -> bool:
@@ -369,15 +420,19 @@ def verify_robust_spanner(
 
     ``oracle_sample`` pairs are additionally priced by the numeric oracle
     and must agree with the monotone criterion to within a 1e-12 relative
-    tolerance. Each pair is first searched on a coordinate-oriented copy of
-    the alive edges, from its left endpoint and bounded at
-    ``gap * (1 + 2 * tol)``; a forward path within tolerance certifies it.
+    tolerance. Each pair is first searched depth first on a
+    coordinate-oriented copy of the alive edges, from its left endpoint and
+    never past its right one; a forward path within tolerance certifies it.
+    The searches share a budget of one edge examination per alive edge.
     The copy comes from the edge array and the coordinates, not from the
-    reach, so the two checks stay independent. Uncertified pairs get the
-    same bounded search on the full alive graph, and every mismatch is
-    re-priced there without a bound, so reports carry full-graph lengths.
-    Ignored-set stretch is priced from the ignored endpoint, and violations
-    without a bound.
+    reach, so the two checks stay independent. Uncertified pairs get a
+    Dijkstra search on the full alive graph bounded at
+    ``gap * (1 + 2 * tol)``, and every mismatch is re-priced there without
+    a bound, so reports carry full-graph lengths. Ignored-set stretch is
+    priced from the ignored endpoint, and violations without a bound. The
+    alive edges are filtered once, and the full graph's matrix is built
+    only when a violation, an uncertified pair, a mismatch or a stretch
+    pair needs it.
     """
     if not (graph.n == ps.n == scheme.n):
         raise SchemeMismatch(
@@ -412,10 +467,12 @@ def verify_robust_spanner(
         # only the missing pairs become tuples
         missing = list(zip(xs[~hit].tolist(), ys[~hit].tolist()))
 
-    oracle = _oracle_csr(graph, ps, fs) if missing or oracle_sample > 0 else None
+    # one alive filter for the whole oracle; the full matrix only when used
+    edges = _alive_edges(graph, fs) if missing or oracle_sample > 0 else None
+    oracle = functools.cache(lambda: _oracle_csr(ps, edges))
     violations = []
     if missing:
-        priced = _price_pairs(oracle, missing[:512])
+        priced = _price_pairs(oracle(), missing[:512])
         for (x, y), d in zip(missing[:512], priced):
             violations.append((x, y, None if math.isinf(d) else d))
         violations.extend((x, y, None) for x, y in missing[512:])
@@ -428,11 +485,11 @@ def verify_robust_spanner(
         wants = (ps.coords[oys] - ps.coords[oxs]).tolist()
         # a forward path within tolerance certifies its pair; the rest go
         # through the bounded search on the full alive graph
-        forward = _price_forward(graph, ps, fs, sample)
+        forward = _price_forward(graph, ps, fs, sample, edges)
         numeric_exact = [_within_tolerance(d, want) for d, want in zip(forward, wants)]
         uncertified = [i for i, ok in enumerate(numeric_exact) if not ok]
         if uncertified:
-            full = _price_within_gap(oracle, [sample[i] for i in uncertified], ps.coords)
+            full = _price_within_gap(oracle(), [sample[i] for i in uncertified], ps.coords)
             for i, d in zip(uncertified, full):
                 numeric_exact[i] = _within_tolerance(d, wants[i])
         oracle_checked = len(sample)
@@ -442,7 +499,7 @@ def verify_robust_spanner(
         ]
         # every mismatch reports its full-graph length, not a bounded one
         if oracle_mismatches:
-            full = _price_pairs(oracle, oracle_mismatches)
+            full = _price_pairs(oracle(), oracle_mismatches)
             oracle_mismatches = [(x, y, d) for (x, y), d in zip(oracle_mismatches, full)]
 
     ignored_alive = sorted(f_star - fs)
@@ -459,11 +516,13 @@ def verify_robust_spanner(
                 pairs.append((x, y))
         if pairs:
             # priced from the ignored endpoint: at most |F* \ F| sources
-            priced = _price_pairs(oracle, pairs)
+            priced = _price_pairs(oracle(), pairs)
             ratios = [
                 d / abs(ps.coords[y] - ps.coords[x]) for (x, y), d in zip(pairs, priced)
             ]
             max_stretch = float(max(ratios))
+    # drop the alive edges and the full matrix before the second reach pass
+    del edges, oracle
 
     strong_ok = None
     if strong_check:

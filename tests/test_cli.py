@@ -19,6 +19,12 @@ def test_build_rejects_zero_points(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_build_too_large_to_allocate(tmp_path, capsys):
+    # numpy refuses the 72.8 TiB coordinate array at once, touching no memory
+    assert main(["build", "--n", "10000000000000", "--out", str(tmp_path / "x")]) == 2
+    assert "error: Unable to allocate" in capsys.readouterr().err
+
+
 def test_build_requires_a_point_source(tmp_path, capsys):
     assert main(["build", "--out", str(tmp_path / "x")]) == 2
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.sparse import csr_matrix
 
 import spanner1d as sp
 from spanner1d import verify
@@ -224,6 +225,18 @@ def test_exactness_survives_any_failures_property(n, ell, data):
     assert rep.strong_variant_ok is not None
 
 
+def dropped_instance(n, ell, model, drop, seed):
+    """A built spanner with a ``drop`` share of its edges removed at random,
+    and up to ``n // 10`` random failures; the rng is returned for reuse."""
+    ps = sp.generate_points(n, model, seed)
+    scheme = sp.build_scheme(n, ell)
+    g = sp.build_spanner(ps, scheme)
+    rng = np.random.default_rng(seed)
+    g = sp.SpannerGraph(n, g.edges[rng.random(g.edge_count) >= drop])
+    fs = frozenset(rng.choice(n, size=int(rng.integers(0, n // 10 + 1)), replace=False).tolist())
+    return ps, scheme, g, fs, rng
+
+
 def flipped_reach(rows):
     """``_forward_reach`` with every bit of the given sources' rows inverted."""
 
@@ -280,12 +293,7 @@ def test_bounded_pricing_matches_unbounded_property(
     the report, including detours longer than any gap the bounded search
     from their source was asked for.
     """
-    ps = sp.generate_points(n, model, seed)
-    scheme = sp.build_scheme(n, ell)
-    g = sp.build_spanner(ps, scheme)
-    rng = np.random.default_rng(seed)
-    g = sp.SpannerGraph(n, g.edges[rng.random(g.edge_count) >= drop])
-    fs = frozenset(rng.choice(n, size=int(rng.integers(0, n // 10 + 1)), replace=False).tolist())
+    ps, scheme, g, fs, rng = dropped_instance(n, ell, model, drop, seed)
     rows = range(n) if flip_all else rng.choice(n, size=3, replace=False).tolist()
     kwargs = dict(
         exhaustive_limit=exhaustive_limit, pair_sample=300, oracle_sample=oracle_sample, seed=seed
@@ -299,7 +307,7 @@ def test_bounded_pricing_matches_unbounded_property(
     assert bounded.to_json() == unbounded.to_json()
 
 
-def never_certify(graph, ps, removed, pairs):
+def never_certify(graph, ps, removed, pairs, edges=None):
     """``_price_forward`` with no forward path found, so every pair takes the full search."""
     return [math.inf] * len(pairs)
 
@@ -327,12 +335,7 @@ def test_forward_certificates_match_full_search_property(
     failures and inverted reach rows. The reference run certifies nothing,
     so every sampled pair goes through the search on the full alive graph.
     """
-    ps = sp.generate_points(n, model, seed)
-    scheme = sp.build_scheme(n, ell)
-    g = sp.build_spanner(ps, scheme)
-    rng = np.random.default_rng(seed)
-    g = sp.SpannerGraph(n, g.edges[rng.random(g.edge_count) >= drop])
-    fs = frozenset(rng.choice(n, size=int(rng.integers(0, n // 10 + 1)), replace=False).tolist())
+    ps, scheme, g, fs, rng = dropped_instance(n, ell, model, drop, seed)
     rows = range(n) if flip_all else rng.choice(n, size=3, replace=False).tolist()
     kwargs = dict(
         exhaustive_limit=exhaustive_limit, pair_sample=300, oracle_sample=oracle_sample, seed=seed
@@ -342,6 +345,109 @@ def test_forward_certificates_match_full_search_property(
         with mock.patch.object(verify, "_price_forward", never_certify):
             full = sp.verify_robust_spanner(g, ps, scheme, fs, **kwargs)
     assert certified.to_json() == full.to_json()
+
+
+def forward_csr(graph, ps, removed):
+    """Directed CSR of the alive edges, each pointing up the line and weighted
+    by its gap: the matrix the forward path search replaced."""
+    edges = verify._alive_edges(graph, removed)
+    ends = ps.coords[edges]
+    up = ends[:, 0] < ends[:, 1]
+    tail = np.where(up, edges[:, 0], edges[:, 1])
+    head = np.where(up, edges[:, 1], edges[:, 0])
+    return csr_matrix((np.abs(ends[:, 1] - ends[:, 0]), (tail, head)), shape=(graph.n, graph.n))
+
+
+def dijkstra_price_forward(graph, ps, removed, pairs):
+    """The bounded Dijkstra the forward path search replaced, kept as its reference.
+
+    Each pair is searched on ``forward_csr`` from its endpoint with the
+    smaller coordinate, stopping past the gap; a finite length is the
+    shortest alive path that never backtracks.
+    """
+    coords = ps.coords
+    oriented = [(x, y) if coords[x] < coords[y] else (y, x) for x, y in pairs]
+    return verify._price_within_gap(forward_csr(graph, ps, removed), oriented, coords)
+
+
+def certified(ps, pairs, lengths):
+    return [
+        verify._within_tolerance(d, abs(ps.coords[y] - ps.coords[x]))
+        for (x, y), d in zip(pairs, lengths)
+    ]
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    n=st.integers(min_value=20, max_value=140),
+    ell=st.integers(min_value=1, max_value=2),
+    model=st.sampled_from(["uniform", "clustered", "expgaps"]),
+    drop=st.floats(min_value=0.0, max_value=0.6),
+    seed=st.integers(min_value=0, max_value=2**16),
+)
+# seven of these pairs are certified only after a dead end is backed out of
+@example(n=20, ell=1, model="uniform", drop=0.1, seed=0)
+def test_path_search_certifies_the_dijkstra_pairs_property(n, ell, model, drop, seed):
+    """The depth-first path search certifies exactly the reference's pairs.
+
+    Pairs are searched one call each, so the shared budget never binds. In
+    one batch call the budget may run out, and then it only cuts off a tail
+    of the batch: every pair before the cut reads as it does alone.
+    """
+    ps, _, g, fs, rng = dropped_instance(n, ell, model, drop, seed)
+    alive = np.array(sorted(set(range(n)) - fs))
+    xs, ys = _sample_pairs(rng, alive, 200)
+    # either endpoint may come first
+    pairs = [(x, y) if i % 2 else (y, x) for i, (x, y) in enumerate(zip(xs.tolist(), ys.tolist()))]
+    alone = [verify._price_forward(g, ps, fs, [p])[0] for p in pairs]
+    want = dijkstra_price_forward(g, ps, fs, pairs)
+    assert certified(ps, pairs, alone) == certified(ps, pairs, want)
+    batch = verify._price_forward(g, ps, fs, pairs)
+    cut = next((i for i, (a, b) in enumerate(zip(batch, alone)) if a != b), len(pairs))
+    assert all(math.isinf(d) for d in batch[cut:])
+
+
+def test_path_search_backs_out_of_a_dead_end():
+    # from 0 the search tries 2 first, the largest head not past 3, but 2 has
+    # no edge up the line; it backs out and goes through 1
+    ps = sp.make_point_set([0.0, 1.0, 2.0, 3.0])
+    g = sp.SpannerGraph(4, [(0, 1), (0, 2), (1, 3)])
+    assert verify._price_forward(g, ps, frozenset(), [(3, 0)]) == [3.0]
+    assert verify._price_forward(g, ps, frozenset(), [(2, 3)]) == [math.inf]
+
+
+def half_clique(n):
+    """A clique on the lower half of the vertices and a path on the upper half, never joined."""
+    h = n // 2
+    a, b = np.triu_indices(h, 1)
+    path = np.arange(h, n - 1)
+    return sp.SpannerGraph(n, np.concatenate([np.stack([a, b], 1), np.stack([path, path + 1], 1)]))
+
+
+def test_half_clique_cross_pairs_read_inf():
+    """Cross pairs have no path, and the budget stops their search early.
+
+    The first cross pair from vertex 0 examines every clique edge, so the
+    budget, one examination per alive edge, is nearly spent and a pair after
+    it reads inf too. The report is the one where nothing is certified.
+    """
+    n = 300
+    ps = sp.generate_points(n, "uniform", 0)
+    g = half_clique(n)
+    inside = [(160, 290), (3, 140)]
+    cross = [(x, y) for x in range(0, 150, 7) for y in range(150, 300, 11)]
+    lengths = verify._price_forward(g, ps, frozenset(), inside + cross)
+    assert certified(ps, inside, lengths[:2]) == [True, True]
+    assert all(math.isinf(d) for d in lengths[2:])
+    spent = [(0, 150), (1, 151), (160, 290)]
+    assert verify._price_forward(g, ps, frozenset(), spent) == [math.inf] * 3
+    scheme = sp.build_scheme(n, 1)
+    fs = sp.random_failures(n, 15, 1)
+    rep = sp.verify_robust_spanner(g, ps, scheme, fs, seed=2)
+    with mock.patch.object(verify, "_price_forward", never_certify):
+        full = sp.verify_robust_spanner(g, ps, scheme, fs, seed=2)
+    assert rep.to_json() == full.to_json()
+    assert rep.violations and not rep.passed
 
 
 def test_detour_within_tolerance_reaches_the_full_search():
