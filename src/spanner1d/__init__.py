@@ -11,27 +11,21 @@ from .builder import (
     build_spanner,
     edge_count_bound,
     read_edge_list,
-    read_graph_json,
     write_edge_list,
-    write_graph_json,
 )
 from .closure import (
     ClosureTrace,
     TriggerEvent,
-    closure_bound_check,
     compute_closure,
     half_threshold,
-    trace_to_json,
     within_spec_bound,
 )
 from .core import (
     DuplicateCoordinate,
     EmptyInput,
-    IgnoredSet,
     IndexOutOfRange,
     PointSet,
     check_failures,
-    distance,
     load_failures,
     load_points,
     make_point_set,
@@ -59,32 +53,24 @@ from .scheme import (
     clusters_of_layer,
     containing_clusters,
     half_clusters_of_layer,
-    parent_clusters,
     scheme_from_json,
     scheme_to_json,
 )
 from .verify import (
-    AliveView,
-    StretchSummary,
     TooLarge,
     VerificationReport,
-    VertexRemoved,
     brute_force_oracle,
-    exact_reach_from,
-    stretch_statistics,
     verify_robust_spanner,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AliveView",
     "ClosureTrace",
     "ClusterRef",
     "DuplicateCoordinate",
     "EmptyInput",
     "HalfClusterRef",
-    "IgnoredSet",
     "IndexOutOfRange",
     "InvalidEpsilon",
     "LayerOutOfRange",
@@ -92,24 +78,19 @@ __all__ = [
     "PointSet",
     "SchemeMismatch",
     "SpannerGraph",
-    "StretchSummary",
     "TooLarge",
     "TriggerEvent",
     "VerificationReport",
-    "VertexRemoved",
     "brute_force_oracle",
     "build_scheme",
     "build_spanner",
     "check_failures",
     "choose_ell_for_epsilon",
     "choose_m",
-    "closure_bound_check",
     "clusters_of_layer",
     "compute_closure",
     "containing_clusters",
-    "distance",
     "edge_count_bound",
-    "exact_reach_from",
     "generate_points",
     "half_cluster_wipe",
     "half_clusters_of_layer",
@@ -118,21 +99,16 @@ __all__ = [
     "load_failures",
     "load_points",
     "make_point_set",
-    "parent_clusters",
     "parse_failures",
     "parse_points",
     "random_failures",
     "read_edge_list",
-    "read_graph_json",
     "run_closure_stats",
     "run_scaling",
     "scheme_from_json",
     "scheme_to_json",
-    "stretch_statistics",
-    "trace_to_json",
     "verify_robust_spanner",
     "within_spec_bound",
     "write_edge_list",
-    "write_graph_json",
     "write_points",
 ]

@@ -14,7 +14,6 @@ In complete-graph mode the edge set is simply all pairs.
 
 from __future__ import annotations
 
-import json
 import warnings
 from functools import cached_property
 from pathlib import Path
@@ -94,17 +93,6 @@ class SpannerGraph:
         flat = tuple(self._edges[:, 1].tolist())
         bounds = self.indptr.tolist()
         return tuple(flat[a:b] for a, b in zip(bounds, bounds[1:]))
-
-    @cached_property
-    def adjacency(self) -> tuple:
-        """Per-vertex sorted neighbour lists (plain tuples)."""
-        lower = [[] for _ in range(self.n)]
-        for u, v in self._edges.tolist():
-            lower[v].append(u)
-        return tuple(tuple(lo) + hi for lo, hi in zip(lower, self.higher_neighbors))
-
-    def neighbors(self, v: int) -> tuple:
-        return self.adjacency[v]
 
     def has_edge(self, u: int, v: int) -> bool:
         if u > v:
@@ -212,13 +200,3 @@ def read_edge_list(path: str | Path, n: int | None = None) -> SpannerGraph:
     if n is None:
         n = 1 + int(edges.max(initial=-1))
     return SpannerGraph(n, edges)
-
-
-def write_graph_json(graph: SpannerGraph, path: str | Path) -> None:
-    doc = {"n": graph.n, "edges": [[int(u), int(v)] for u, v in graph.edges.tolist()]}
-    Path(path).write_text(json.dumps(doc))
-
-
-def read_graph_json(path: str | Path) -> SpannerGraph:
-    doc = json.loads(Path(path).read_text())
-    return SpannerGraph(doc["n"], doc["edges"])

@@ -98,7 +98,10 @@ def _resolve_failures(args, scheme) -> frozenset:
 
 
 def _int_list(text: str) -> list:
-    return [int(tok) for tok in text.split(",") if tok.strip()]
+    values = [int(tok) for tok in text.split(",") if tok.strip()]
+    if not values:
+        raise ValueError(f"expected a comma-separated list of integers, got {text!r}")
+    return values
 
 
 def cmd_build(args) -> int:

@@ -9,12 +9,11 @@ drags every layer-``i`` cluster containing it into the ignored set.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import IgnoredSet, check_failures
+from .core import check_failures
 from .scheme import LayeredScheme, containing_clusters
 
 
@@ -52,9 +51,6 @@ class ClosureTrace:
     @property
     def ell(self) -> int:
         return len(self.per_layer) - 1
-
-    def ignored_set(self) -> IgnoredSet:
-        return IgnoredSet(self.f_star, self.failures)
 
 
 def half_threshold(size: int) -> int:
@@ -95,30 +91,3 @@ def compute_closure(scheme: LayeredScheme, failures) -> ClosureTrace:
 def within_spec_bound(trace: ClosureTrace) -> bool:
     """True iff |F*| <= 6**ell * |F|, the guaranteed growth bound."""
     return len(trace.f_star) <= 6**trace.ell * len(trace.failures)
-
-
-def closure_bound_check(trace: ClosureTrace) -> bool:
-    """Stricter diagnostic: every layer grew at most 6x, and the total bound.
-
-    Tail layouts can push a single layer past 6x while the total stays
-    within 6**ell; use within_spec_bound for the guaranteed property.
-    """
-    sizes = [len(layer) for layer in trace.per_layer]
-    for prev, cur in zip(sizes, sizes[1:]):
-        if cur > 6 * prev:
-            return False
-    return within_spec_bound(trace)
-
-
-def trace_to_json(trace: ClosureTrace) -> str:
-    layers = []
-    for i in range(1, len(trace.per_layer)):
-        added = [
-            {"layer": ev.layer, "ordinal": c.ordinal, "lo": c.lo, "hi": c.hi}
-            for ev in trace.triggered
-            if ev.layer == i
-            for c in ev.clusters
-        ]
-        layers.append({"added_clusters": added, "f_size": len(trace.per_layer[i])})
-    doc = {"layers": layers, "f_star": sorted(trace.f_star)}
-    return json.dumps(doc, indent=2)

@@ -15,9 +15,6 @@ from typing import Iterable
 
 import numpy as np
 
-VertexId = int
-FailureSet = frozenset
-
 
 class EmptyInput(ValueError):
     """A point source yielded no coordinates."""
@@ -77,13 +74,6 @@ def make_point_set(coords: Iterable[float]) -> PointSet:
     return PointSet(np.sort(arr))
 
 
-def distance(ps: PointSet, a: VertexId, b: VertexId) -> float:
-    """Absolute coordinate gap between vertices ``a`` and ``b``."""
-    check_vertex(ps.n, a)
-    check_vertex(ps.n, b)
-    return float(abs(ps.coords[b] - ps.coords[a]))
-
-
 def check_vertex(n: int, v: int) -> int:
     if not 0 <= v < n:
         raise IndexOutOfRange(f"vertex {v} outside [0, {n})")
@@ -96,18 +86,6 @@ def check_failures(members: Iterable[int], n: int) -> frozenset:
     for v in fs:
         check_vertex(n, v)
     return fs
-
-
-@dataclass(frozen=True)
-class IgnoredSet:
-    """Vertices exempt from the spanner guarantee, a superset of the failures."""
-
-    members: frozenset
-    source_failures: frozenset
-
-    def __post_init__(self):
-        if not self.source_failures <= self.members:
-            raise ValueError("failures must be contained in the ignored set")
 
 
 def parse_points(text: str) -> PointSet:

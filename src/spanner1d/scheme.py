@@ -91,14 +91,6 @@ class LayeredScheme:
     layers: tuple
     halves: tuple
 
-    @property
-    def base_count(self) -> int:
-        """Largest perfect power ``(2m)**(ell+1)`` covered by regular layout."""
-        return (2 * self.m) ** (self.ell + 1) if not self.complete_mode else self.n
-
-    def layer_sizes(self) -> tuple:
-        return tuple((2 * self.m) ** i for i in range(1, self.ell + 1))
-
     def tile_of(self, layer: int, v: int) -> int:
         """Index into ``halves[layer-1]`` of the tile containing vertex v."""
         _check_layer(self, layer)
@@ -221,15 +213,6 @@ def containing_clusters(s: LayeredScheme, layer: int, lo: int, hi: int) -> tuple
     return clusters[first:stop]
 
 
-def parent_clusters(s: LayeredScheme, half: HalfClusterRef) -> tuple:
-    """Clusters one layer up that contain the given half-cluster."""
-    if s.complete_mode:
-        return ()
-    if half.layer >= s.ell:
-        raise LayerOutOfRange(f"half-cluster of layer {half.layer} has no parent layer")
-    return containing_clusters(s, half.layer + 1, half.lo, half.hi)
-
-
 def scheme_to_json(s: LayeredScheme) -> str:
     doc = {
         "n": s.n,
@@ -250,15 +233,23 @@ def scheme_to_json(s: LayeredScheme) -> str:
 
 
 def scheme_from_json(text: str) -> LayeredScheme:
-    """Rebuild a scheme from its JSON form, checking the stored layout."""
+    """Rebuild a scheme from its JSON form, checking the stored layout.
+
+    A document that is not JSON, lacks a key, nests the wrong types or
+    stores an infinite size raises ``ValueError`` like a layout that does
+    not match.
+    """
     doc = json.loads(text)
-    s = build_scheme(int(doc["n"]), int(doc["ell"]))
-    if doc["m"] != s.m or doc["mode"] != ("complete" if s.complete_mode else "layered"):
-        raise ValueError("stored scheme does not match its own parameters")
-    stored = [
-        [(c["ordinal"], c["lo"], c["hi"]) for c in layer["clusters"]]
-        for layer in doc["layers"]
-    ]
+    try:
+        s = build_scheme(int(doc["n"]), int(doc["ell"]))
+        if doc["m"] != s.m or doc["mode"] != ("complete" if s.complete_mode else "layered"):
+            raise ValueError("stored scheme does not match its own parameters")
+        stored = [
+            [(c["ordinal"], c["lo"], c["hi"]) for c in layer["clusters"]]
+            for layer in doc["layers"]
+        ]
+    except (KeyError, TypeError, OverflowError) as exc:
+        raise ValueError(f"malformed stored scheme ({type(exc).__name__}: {exc})") from exc
     built = [[(c.ordinal, c.lo, c.hi) for c in layer] for layer in s.layers]
     if stored != built:
         raise ValueError("stored cluster layout does not match its own parameters")

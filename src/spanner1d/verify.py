@@ -47,48 +47,6 @@ class TooLarge(ValueError):
     """The brute-force oracle refuses instances past its size guard."""
 
 
-class VertexRemoved(ValueError):
-    """A removed vertex was used as a query source."""
-
-
-@dataclass(frozen=True)
-class AliveView:
-    """Read-only view of a graph with a set of vertices deleted."""
-
-    graph: SpannerGraph
-    removed: frozenset
-
-    @property
-    def n(self) -> int:
-        return self.graph.n
-
-    def alive(self, v: int) -> bool:
-        return v not in self.removed
-
-    def neighbors(self, v: int) -> tuple:
-        return tuple(w for w in self.graph.adjacency[v] if w not in self.removed)
-
-
-def exact_reach_from(view: AliveView, x: int) -> set:
-    """All alive vertices reachable from x along index-monotone paths."""
-    if not view.alive(x):
-        raise VertexRemoved(f"vertex {x} is removed")
-    removed = view.removed
-    adjacency = view.graph.adjacency
-    out = {x}
-    for increasing in (True, False):
-        stack = [x]
-        seen = {x}
-        while stack:
-            v = stack.pop()
-            for w in adjacency[v]:
-                if (w > v) == increasing and w != v and w not in removed and w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        out |= seen
-    return out
-
-
 def _forward_reach(graph: SpannerGraph, alive) -> list:
     """Bitset per vertex of everything reachable by increasing-index paths."""
     adj_high = graph.higher_neighbors
@@ -549,49 +507,4 @@ def verify_robust_spanner(
         bound_ok=bound_ok,
         exhaustive=exhaustive,
         strong_variant_ok=strong_ok,
-    )
-
-
-@dataclass(frozen=True)
-class StretchSummary:
-    """Stretch distribution split by ignored-set involvement."""
-
-    target_pairs: int
-    target_max_stretch: float
-    ignored_pairs: int
-    ignored_max_stretch: float
-    ignored_unreachable: int
-
-
-def stretch_statistics(
-    graph: SpannerGraph,
-    ps: PointSet,
-    scheme: LayeredScheme,
-    failures,
-    limit: int = 512,
-) -> StretchSummary:
-    """Exact stretch over all alive pairs, partitioned by the ignored set."""
-    fs = check_failures(failures, graph.n)
-    f_star = compute_closure(scheme, fs).f_star
-    lengths = brute_force_oracle(graph, ps, fs, limit=limit)
-    t_count = t_max = 0
-    i_count = i_unreachable = 0
-    i_max = 0.0
-    for (x, y), d in lengths.items():
-        ratio = d / (ps.coords[y] - ps.coords[x])
-        if x in f_star or y in f_star:
-            i_count += 1
-            if math.isinf(ratio):
-                i_unreachable += 1
-            else:
-                i_max = max(i_max, ratio)
-        else:
-            t_count += 1
-            t_max = max(t_max, ratio)
-    return StretchSummary(
-        target_pairs=t_count,
-        target_max_stretch=float(t_max),
-        ignored_pairs=i_count,
-        ignored_max_stretch=float(i_max),
-        ignored_unreachable=i_unreachable,
     )

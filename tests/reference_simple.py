@@ -5,7 +5,8 @@ package's scheme machinery: cut the line into size-m tiles (last one
 may be short), make every union of two consecutive tiles a clique,
 and add a rank-aligned matching between every two tiles. Used as a
 cross-check that the layered builder at depth 1 produces exactly the
-same edge set.
+same edge set. A plain depth-first monotone reach serves as the
+reference the package's bitset reach is compared against.
 """
 
 from __future__ import annotations
@@ -38,3 +39,25 @@ def simple_spanner_edges(n: int) -> set:
         for b in tiles[i + 1 :]:
             edges.update(zip(a, b))
     return edges
+
+
+def monotone_reach_up(graph, removed, x: int) -> set:
+    """Alive vertices joined to ``x`` by a path whose indices only rise.
+
+    A depth-first search read straight off ``graph.edges``, independent of
+    the package's bitset reach: each step follows an edge to a higher,
+    alive endpoint. ``x`` is included; it must itself be alive.
+    """
+    steps = {}
+    for u, v in graph.edges.tolist():
+        steps.setdefault(u, []).append(v)
+        steps.setdefault(v, []).append(u)
+    out = {x}
+    stack = [x]
+    while stack:
+        v = stack.pop()
+        for w in steps.get(v, ()):
+            if w > v and w not in removed and w not in out:
+                out.add(w)
+                stack.append(w)
+    return out

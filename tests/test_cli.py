@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 import spanner1d as sp
 from spanner1d.cli import main
 
@@ -109,6 +111,17 @@ def test_non_finite_points_file_rejected(tmp_path, capsys):
     assert "finite" in capsys.readouterr().err
 
 
+def test_verify_rejects_malformed_scheme_file(tmp_path, capsys):
+    out = tmp_path / "g"
+    assert main(["build", "--n", "16", "--ell", "1", "--out", str(out)]) == 0
+    scheme = tmp_path / "g.scheme.json"
+    doc = json.loads(scheme.read_text())
+    del doc["n"]
+    scheme.write_text(json.dumps(doc))
+    assert main(["verify", "--graph", str(out)]) == 2
+    assert "error: malformed stored scheme" in capsys.readouterr().err
+
+
 def test_verify_failure_model_flags(tmp_path, capsys):
     assert main(["verify", "--n", "64", "--ell", "2", "--wipe-half", "1:3"]) == 0
     assert main(["verify", "--n", "64", "--ell", "1", "--wipe-interval", "10:20"]) == 0
@@ -150,6 +163,15 @@ def test_scaling_outputs(tmp_path, capsys):
 def test_scaling_single_size_has_no_slope(capsys):
     assert main(["scaling", "--ns", "64", "--ells", "1"]) == 0
     assert "slope" not in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("flag", ["--ns", "--ells"])
+def test_scaling_rejects_empty_list(flag, tmp_path, capsys):
+    csv_path = tmp_path / "s.csv"
+    assert main(["scaling", flag, " , ", "--csv", str(csv_path)]) == 2
+    captured = capsys.readouterr()
+    assert "error: expected a comma-separated list" in captured.err
+    assert captured.out == "" and not csv_path.exists()
 
 
 def test_closure_stats_normal(tmp_path, capsys):

@@ -56,12 +56,10 @@ def test_equality_and_hash():
     assert a != c
 
 
-def test_distance():
-    ps = sp.make_point_set([0.0, 1.5, 10.0])
-    assert sp.distance(ps, 0, 2) == 10.0
-    assert sp.distance(ps, 2, 1) == 8.5
-    with pytest.raises(sp.IndexOutOfRange):
-        sp.distance(ps, 0, 3)
+def test_public_names_resolve():
+    assert len(set(sp.__all__)) == len(sp.__all__)
+    for name in sp.__all__:
+        assert getattr(sp, name) is not None, name
 
 
 def test_check_vertex_bounds():
@@ -75,12 +73,6 @@ def test_check_failures():
     assert sp.check_failures([], 3) == frozenset()
     with pytest.raises(sp.IndexOutOfRange):
         sp.check_failures([3], 3)
-
-
-def test_ignored_set_must_contain_failures():
-    sp.IgnoredSet(frozenset({1, 2}), frozenset({2}))
-    with pytest.raises(ValueError):
-        sp.IgnoredSet(frozenset({1}), frozenset({2}))
 
 
 def test_parse_points_comments_and_blanks():

@@ -158,23 +158,6 @@ def test_cluster_lookup_matches_linear_scan(n, ell):
                 assert sp.containing_clusters(s, up, h.lo, h.hi) == scan
 
 
-def test_parent_clusters():
-    s = sp.build_scheme(64, 2)
-    h = sp.half_clusters_of_layer(s, 1)[3]
-    parents = sp.parent_clusters(s, h)
-    assert parents and all(p.layer == 2 for p in parents)
-    assert all(p.lo <= h.lo and h.hi <= p.hi for p in parents)
-    top = sp.half_clusters_of_layer(s, 2)[0]
-    with pytest.raises(sp.LayerOutOfRange):
-        sp.parent_clusters(s, top)
-
-
-def test_layer_sizes_and_base_count():
-    s = sp.build_scheme(256, 3)
-    assert s.layer_sizes() == (4, 16, 64)
-    assert s.base_count == 256
-
-
 def test_scheme_json_round_trip():
     for n, ell in [(16, 1), (216, 2), (15, 1)]:
         s = sp.build_scheme(n, ell)
@@ -192,6 +175,16 @@ def test_scheme_json_tamper_detected():
     doc["layers"][0]["clusters"][0]["hi"] = 5
     with pytest.raises(ValueError):
         sp.scheme_from_json(json.dumps(doc))
+    # malformed documents raise ValueError too, not KeyError or TypeError
+    good = json.loads(sp.scheme_to_json(sp.build_scheme(16, 1)))
+    for bad in (
+        {k: v for k, v in good.items() if k != "n"},
+        [good],
+        {**good, "layers": [{"layer": 1}]},
+        {**good, "n": float("inf")},
+    ):
+        with pytest.raises(ValueError, match="malformed stored scheme"):
+            sp.scheme_from_json(json.dumps(bad))
 
 
 @given(st.integers(min_value=1, max_value=3000), st.integers(min_value=1, max_value=3))

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from scipy.sparse import csr_matrix
 
 import spanner1d as sp
+from reference_simple import monotone_reach_up
 from spanner1d import verify
 from spanner1d.verify import (
     ORACLE_RELATIVE_TOLERANCE,
@@ -25,38 +26,36 @@ def path_graph():
     return sp.SpannerGraph(3, [(0, 1), (1, 2)]), ps
 
 
+def reach_sets(graph, alive):
+    """``_forward_reach`` rows as sets of vertex indices."""
+    return [{y for y in range(graph.n) if (r >> y) & 1} for r in _forward_reach(graph, alive)]
+
+
 def test_exact_reach_on_path():
     g, _ = path_graph()
-    view = sp.AliveView(g, frozenset())
-    assert sp.exact_reach_from(view, 0) == {0, 1, 2}
-    assert sp.exact_reach_from(view, 1) == {0, 1, 2}
+    assert reach_sets(g, [True] * 3) == [{0, 1, 2}, {1, 2}, {2}]
 
 
 def test_reach_requires_monotone_steps():
     # 1 is only reachable from 0 by going up to 2 and back down
     g = sp.SpannerGraph(3, [(0, 2), (1, 2)])
-    view = sp.AliveView(g, frozenset())
-    assert sp.exact_reach_from(view, 0) == {0, 2}
-    assert sp.exact_reach_from(view, 2) == {0, 1, 2}
+    assert reach_sets(g, [True] * 3) == [{0, 2}, {1, 2}, {2}]
 
 
 def test_reach_respects_removals():
     g, _ = path_graph()
-    view = sp.AliveView(g, frozenset({1}))
-    assert view.neighbors(0) == ()
-    assert sp.exact_reach_from(view, 0) == {0}
-    with pytest.raises(sp.VertexRemoved):
-        sp.exact_reach_from(view, 1)
+    assert reach_sets(g, [True, False, True]) == [{0}, set(), {2}]
 
 
 def test_forward_reach_matches_per_source(instance):
-    _, _, g = instance(20, 1)
-    alive = [v not in {4, 11} for v in range(20)]
-    reach = _forward_reach(g, alive)
-    view = sp.AliveView(g, frozenset({4, 11}))
-    for x in (0, 7, 19):
-        ups = {y for y in range(20) if (reach[x] >> y) & 1}
-        assert ups == {y for y in sp.exact_reach_from(view, x) if y >= x}
+    _, _, intact = instance(20, 1)
+    _, _, dropped, fs, _ = dropped_instance(300, 2, "clustered", 0.05, 3)
+    assert fs
+    for g, removed in ((intact, frozenset({4, 11})), (dropped, fs)):
+        rows = reach_sets(g, [v not in removed for v in range(g.n)])
+        for x in range(g.n):
+            want = set() if x in removed else monotone_reach_up(g, removed, x)
+            assert rows[x] == want
 
 
 def test_oracle_on_complete_graph(instance):
@@ -64,7 +63,7 @@ def test_oracle_on_complete_graph(instance):
     lengths = sp.brute_force_oracle(g, ps, frozenset())
     assert len(lengths) == 28
     for (x, y), d in lengths.items():
-        assert d == pytest.approx(sp.distance(ps, x, y), rel=1e-15)
+        assert d == pytest.approx(ps.coords[y] - ps.coords[x], rel=1e-15)
 
 
 def test_oracle_reports_unreachable():
@@ -114,7 +113,7 @@ def test_verify_detects_missing_edge(instance):
     assert not rep.passed
     assert [(u, v) for u, v, _ in rep.violations] == [(3, 4)]
     d = rep.violations[0][2]
-    assert d is None or d > sp.distance(ps, 3, 4)
+    assert d is None or d > ps.coords[4] - ps.coords[3]
 
 
 def test_verify_sampled_mode(instance):
@@ -175,28 +174,9 @@ def test_criterion_equivalence_campaign(instance):
         alive = [v not in fs for v in range(16)]
         reach = _forward_reach(g, alive)
         for (x, y), found in sp.brute_force_oracle(g, ps, fs).items():
-            want = sp.distance(ps, x, y)
+            want = ps.coords[y] - ps.coords[x]
             numeric = math.isfinite(found) and abs(found - want) <= want * ORACLE_RELATIVE_TOLERANCE
             assert bool((reach[x] >> y) & 1) == numeric
-
-
-def test_stretch_statistics_no_failures(instance):
-    ps, scheme, g = instance(20, 1)
-    summary = sp.stretch_statistics(g, ps, scheme, frozenset())
-    assert summary.target_pairs == 20 * 19 // 2
-    assert summary.target_max_stretch == pytest.approx(1.0)
-    assert summary.ignored_pairs == 0 and summary.ignored_unreachable == 0
-
-
-def test_stretch_statistics_partition(instance):
-    ps, scheme, g = instance(64, 1)
-    fs = sp.half_cluster_wipe(scheme, 1, 3)
-    summary = sp.stretch_statistics(g, ps, scheme, fs)
-    total = summary.target_pairs + summary.ignored_pairs
-    alive = 64 - len(fs)
-    assert total == alive * (alive - 1) // 2
-    assert summary.target_max_stretch == pytest.approx(1.0)
-    assert summary.ignored_pairs > 0
 
 
 @settings(max_examples=25, deadline=None)
