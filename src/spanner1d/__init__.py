@@ -15,7 +15,6 @@ from .builder import (
 )
 from .closure import (
     ClosureTrace,
-    TriggerEvent,
     compute_closure,
     half_threshold,
     within_spec_bound,
@@ -42,7 +41,6 @@ from .experiments import (
     run_scaling,
 )
 from .scheme import (
-    ClusterRef,
     HalfClusterRef,
     InvalidEpsilon,
     LayeredScheme,
@@ -50,8 +48,6 @@ from .scheme import (
     build_scheme,
     choose_ell_for_epsilon,
     choose_m,
-    clusters_of_layer,
-    containing_clusters,
     half_clusters_of_layer,
     scheme_from_json,
     scheme_to_json,
@@ -67,7 +63,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ClosureTrace",
-    "ClusterRef",
     "DuplicateCoordinate",
     "EmptyInput",
     "HalfClusterRef",
@@ -79,7 +74,6 @@ __all__ = [
     "SchemeMismatch",
     "SpannerGraph",
     "TooLarge",
-    "TriggerEvent",
     "VerificationReport",
     "brute_force_oracle",
     "build_scheme",
@@ -87,9 +81,7 @@ __all__ = [
     "check_failures",
     "choose_ell_for_epsilon",
     "choose_m",
-    "clusters_of_layer",
     "compute_closure",
-    "containing_clusters",
     "edge_count_bound",
     "generate_points",
     "half_cluster_wipe",

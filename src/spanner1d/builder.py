@@ -94,15 +94,6 @@ class SpannerGraph:
         bounds = self.indptr.tolist()
         return tuple(flat[a:b] for a, b in zip(bounds, bounds[1:]))
 
-    def has_edge(self, u: int, v: int) -> bool:
-        if u > v:
-            u, v = v, u
-        if u < 0 or v >= self.n:
-            return False
-        row = self._edges[self.indptr[u] : self.indptr[u + 1], 1]
-        i = int(row.searchsorted(v))
-        return i < row.size and int(row[i]) == v
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, SpannerGraph)

@@ -14,28 +14,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import check_failures
-from .scheme import LayeredScheme, containing_clusters
-
-
-@dataclass(frozen=True)
-class TriggerEvent:
-    """One half-cluster crossing its failure threshold at one layer."""
-
-    layer: int
-    half: object
-    clusters: tuple
-
-    @property
-    def added(self) -> frozenset:
-        out = set()
-        for c in self.clusters:
-            out.update(range(c.lo, c.hi))
-        return frozenset(out)
+from .scheme import HalfClusterRef, LayeredScheme
 
 
 @dataclass(frozen=True)
 class ClosureTrace:
-    """Snapshots F_0 .. F_ell of the growing ignored set plus all triggers."""
+    """Snapshots F_0 .. F_ell of the growing ignored set plus every triggering tile."""
 
     per_layer: tuple
     triggered: tuple
@@ -72,18 +56,17 @@ def compute_closure(scheme: LayeredScheme, failures) -> ClosureTrace:
     for layer in range(1, scheme.ell + 1):
         csum = np.concatenate(([0], np.cumsum(failed)))
         lo, hi = scheme.tile_bounds(layer)
-        # half_threshold takes one size; tiles come in at most two sizes
-        sizes, tile_size = np.unique(hi - lo, return_inverse=True)
-        threshold = np.array([half_threshold(s) for s in sizes.tolist()])[tile_size]
-        hits = np.flatnonzero(csum[hi] - csum[lo] >= threshold)
-        grown = failed.copy()
-        for k in hits.tolist():
-            half = scheme.halves[layer - 1][k]
-            owners = containing_clusters(scheme, layer, half.lo, half.hi)
-            triggered.append(TriggerEvent(layer, half, owners))
-            for c in owners:
-                grown[c.lo : c.hi] = True
-        failed = grown
+        lost = csum[hi] - csum[lo]
+        # every tile is a full half-cluster except possibly a short last one
+        hit = lost >= half_threshold(int(hi[0] - lo[0]))
+        hit[-1] = lost[-1] >= half_threshold(int(hi[-1] - lo[-1]))
+        los, his = lo.tolist(), hi.tolist()
+        last = len(los) - 1
+        # the counts are taken, so growing in place keeps the snapshot rule
+        for k in np.flatnonzero(hit).tolist():
+            triggered.append(HalfClusterRef.of_tile(layer, k, last, los[k], his[k]))
+            # tile k lies in clusters k-1 and k, which cover tiles k-1 .. k+1
+            failed[los[max(k - 1, 0)] : his[min(k + 1, last)]] = True
         per_layer.append(frozenset(np.flatnonzero(failed).tolist()))
     return ClosureTrace(tuple(per_layer), tuple(triggered))
 

@@ -16,7 +16,7 @@ import numpy as np
 from .builder import build_spanner, edge_count_bound
 from .closure import compute_closure
 from .core import PointSet, make_point_set
-from .scheme import LayerOutOfRange, build_scheme, half_clusters_of_layer
+from .scheme import LayerOutOfRange, build_scheme
 
 POINT_MODELS = ("uniform", "clustered", "expgaps")
 FAILURE_MODELS = ("random_k", "half_cluster_wipe", "interval_wipe")
@@ -62,13 +62,12 @@ def random_failures(n: int, k: int, seed: int) -> frozenset:
 
 def half_cluster_wipe(scheme, layer: int, ordinal: int) -> frozenset:
     """Fail every vertex of one half-cluster (1-based ordinal)."""
-    halves = half_clusters_of_layer(scheme, layer)
-    if not 1 <= ordinal <= len(halves):
+    lo, hi = scheme.tile_bounds(layer)
+    if not 1 <= ordinal <= len(lo):
         raise LayerOutOfRange(
-            f"half ordinal {ordinal} out of range 1..{len(halves)} at layer {layer}"
+            f"half ordinal {ordinal} out of range 1..{len(lo)} at layer {layer}"
         )
-    h = halves[ordinal - 1]
-    return frozenset(range(h.lo, h.hi))
+    return frozenset(range(int(lo[ordinal - 1]), int(hi[ordinal - 1])))
 
 
 def interval_wipe(n: int, lo: int, hi: int) -> frozenset:

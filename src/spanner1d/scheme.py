@@ -13,13 +13,16 @@ as they fit, and if indices remain uncovered one trailing cluster is
 added: its left half is a regular half, its right half holds the few
 leftover indices. When ``n`` is too small for ``m >= 2`` the layout
 degenerates and the spanner falls back to the complete graph.
+
+``(n, ell)`` fix all of it, so nothing per cluster is stored: the tiles
+of a layer are index arithmetic on ``(n, m, layer)``, computed in
+``LayeredScheme.tile_bounds``.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Literal
 
@@ -34,23 +37,6 @@ class LayerOutOfRange(ValueError):
 
 class InvalidEpsilon(ValueError):
     """Exponent slack must lie in (0, 1]."""
-
-
-@dataclass(frozen=True)
-class ClusterRef:
-    """One cluster: ``ordinal`` is its 1-based rank within its layer."""
-
-    layer: int
-    ordinal: int
-    lo: int
-    hi: int
-
-    @property
-    def size(self) -> int:
-        return self.hi - self.lo
-
-    def contains(self, v: int) -> bool:
-        return self.lo <= v < self.hi
 
 
 @dataclass(frozen=True)
@@ -71,48 +57,52 @@ class HalfClusterRef:
     def size(self) -> int:
         return self.hi - self.lo
 
-    def contains(self, v: int) -> bool:
-        return self.lo <= v < self.hi
+    @classmethod
+    def of_tile(cls, layer: int, k: int, last: int, lo: int, hi: int) -> HalfClusterRef:
+        """Tile ``k`` of a layer whose last tile is ``last``, both 0-based.
+
+        Every tile but the last starts cluster ``k + 1``; the last is the
+        right half of the last cluster, ordinal ``last``.
+        """
+        if k < last:
+            return cls(layer, k + 1, "L", lo, hi)
+        return cls(layer, k, "R", lo, hi)
 
 
 @dataclass(frozen=True)
 class LayeredScheme:
     """Cluster layout for all layers of one (n, ell) instance.
 
-    ``layers[i-1]`` and ``halves[i-1]`` hold the clusters and the distinct
-    half-cluster tiles of layer ``i``, left to right. Both are empty in
-    complete-graph mode (``m`` reported as 0).
+    Only the parameters are held; ``tile_bounds`` derives each layer.
+    Complete-graph mode has no tiles and reports ``m`` as 0.
     """
 
     n: int
     ell: int
     m: int
     complete_mode: bool
-    layers: tuple
-    halves: tuple
 
     def tile_of(self, layer: int, v: int) -> int:
-        """Index into ``halves[layer-1]`` of the tile containing vertex v."""
+        """Index into ``tile_bounds(layer)`` of the tile containing vertex v."""
         _check_layer(self, layer)
         check_vertex(self.n, v)
         if self.complete_mode:
             raise ValueError(f"complete mode (n={self.n}, ell={self.ell}) has no tiles")
-        tiles = self.halves[layer - 1]
-        half = (2 * self.m) ** layer // 2
-        return min(v // half, len(tiles) - 1)
+        return v // ((2 * self.m) ** layer // 2)
 
     def tile_bounds(self, layer: int) -> tuple:
-        """``(lo, hi)`` arrays of the tiles ``halves[layer-1]``, left to right.
+        """``(lo, hi)`` arrays of the half-cluster tiles of a layer, left to right.
 
-        Tile ``k`` starts at ``k`` half-clusters; only the last may be short.
-        Cluster ``j`` of the layer spans tiles ``j`` and ``j+1``. Both arrays
-        are empty in complete mode.
+        Tile ``k`` starts at ``k`` half-clusters of ``(2m)**layer // 2``
+        points, for every start below ``n``; only the last may be short.
+        Cluster ``j`` (ordinal ``j + 1``) spans tiles ``j`` and ``j + 1``,
+        ``(lo[j], hi[j + 1])``. Both arrays are empty in complete mode.
         """
         _check_layer(self, layer)
         if self.complete_mode:
             return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
         half = (2 * self.m) ** layer // 2
-        lo = np.arange(len(self.halves[layer - 1]), dtype=np.int64) * half
+        lo = np.arange(0, self.n, half, dtype=np.int64)
         return lo, np.minimum(lo + half, self.n)
 
 
@@ -123,10 +113,16 @@ def _check_layer(s: LayeredScheme, layer: int) -> None:
 
 def choose_m(n: int, ell: int) -> int:
     """Largest m >= 0 with (2m)**(ell+1) <= n (0 when even m=1 is too big)."""
-    m = 0
-    while (2 * (m + 1)) ** (ell + 1) <= n:
-        m += 1
-    return m
+    e = ell + 1
+    if n < 1 or n.bit_length() <= e:  # n < 2**e: the root is below 2
+        return 0
+    # Newton's step on integers from above; stops at floor(n ** (1 / e))
+    root = 1 << -(-n.bit_length() // e)
+    while True:
+        step = ((e - 1) * root + n // root ** (e - 1)) // e
+        if step >= root:
+            return root // 2
+        root = step
 
 
 def choose_ell_for_epsilon(epsilon: float) -> int:
@@ -138,19 +134,6 @@ def choose_ell_for_epsilon(epsilon: float) -> int:
     return max(1, math.ceil((1.0 - epsilon) / epsilon - 1e-9))
 
 
-def _layout(n: int, size: int):
-    """Spans and half-tiles for one layer; returns (spans, tiles)."""
-    half = size // 2
-    spans = [(s, s + size) for s in range(0, n - size + 1, half)]
-    full_end = spans[-1][1]
-    if full_end < n:
-        spans.append((full_end - half, n))
-    tiles = [(k * half, (k + 1) * half) for k in range(full_end // half)]
-    if full_end < n:
-        tiles.append((full_end, n))
-    return spans, tiles
-
-
 def build_scheme(n: int, ell: int) -> LayeredScheme:
     """Lay out clusters for all layers, or flag complete-graph mode."""
     if n < 1:
@@ -159,58 +142,31 @@ def build_scheme(n: int, ell: int) -> LayeredScheme:
         raise ValueError(f"depth must be at least 1, got ell={ell}")
     m = choose_m(n, ell)
     if m < 2:
-        return LayeredScheme(n, ell, 0, True, (), ())
-
-    layers = []
-    halves = []
-    for layer in range(1, ell + 1):
-        size = (2 * m) ** layer
-        spans, tiles = _layout(n, size)
-        clusters = tuple(
-            ClusterRef(layer, j + 1, lo, hi) for j, (lo, hi) in enumerate(spans)
-        )
-        start_ordinal = {c.lo: c.ordinal for c in clusters}
-        end_ordinal = {c.hi: c.ordinal for c in clusters}
-        refs = []
-        for lo, hi in tiles:
-            if lo in start_ordinal:
-                refs.append(HalfClusterRef(layer, start_ordinal[lo], "L", lo, hi))
-            else:
-                refs.append(HalfClusterRef(layer, end_ordinal[hi], "R", lo, hi))
-        layers.append(clusters)
-        halves.append(tuple(refs))
-    return LayeredScheme(n, ell, m, False, tuple(layers), tuple(halves))
-
-
-def clusters_of_layer(s: LayeredScheme, layer: int) -> tuple:
-    if s.complete_mode:
-        return ()
-    _check_layer(s, layer)
-    return s.layers[layer - 1]
+        return LayeredScheme(n, ell, 0, True)
+    return LayeredScheme(n, ell, m, False)
 
 
 def half_clusters_of_layer(s: LayeredScheme, layer: int) -> tuple:
-    """Distinct half-cluster tiles of a layer, deduplicated left to right."""
+    """Distinct half-cluster tiles of a layer, left to right, built on demand."""
     if s.complete_mode:
         return ()
-    _check_layer(s, layer)
-    return s.halves[layer - 1]
+    lo, hi = s.tile_bounds(layer)
+    last = len(lo) - 1
+    return tuple(
+        HalfClusterRef.of_tile(layer, k, last, a, b)
+        for k, (a, b) in enumerate(zip(lo.tolist(), hi.tolist()))
+    )
 
 
-def containing_clusters(s: LayeredScheme, layer: int, lo: int, hi: int) -> tuple:
-    """All clusters of ``layer`` whose span contains [lo, hi).
-
-    Cluster starts and ends both rise left to right, so the clusters ending
-    at or after ``hi`` form a suffix, those starting at or before ``lo`` a
-    prefix, and the answer is their overlap. Complete mode has no clusters.
-    """
+def _cluster_rows(s: LayeredScheme) -> list:
+    """Per layer, ``(ordinal, lo, hi)`` of every cluster: tiles j and j+1."""
     if s.complete_mode:
-        return ()
-    _check_layer(s, layer)
-    clusters = s.layers[layer - 1]
-    first = bisect_left(clusters, hi, key=lambda c: c.hi)
-    stop = bisect_right(clusters, lo, key=lambda c: c.lo)
-    return clusters[first:stop]
+        return []
+    rows = []
+    for layer in range(1, s.ell + 1):
+        lo, hi = s.tile_bounds(layer)
+        rows.append(list(zip(range(1, len(lo)), lo[:-1].tolist(), hi[1:].tolist())))
+    return rows
 
 
 def scheme_to_json(s: LayeredScheme) -> str:
@@ -222,11 +178,9 @@ def scheme_to_json(s: LayeredScheme) -> str:
         "layers": [
             {
                 "layer": i + 1,
-                "clusters": [
-                    {"ordinal": c.ordinal, "lo": c.lo, "hi": c.hi} for c in layer
-                ],
+                "clusters": [{"ordinal": o, "lo": lo, "hi": hi} for o, lo, hi in layer],
             }
-            for i, layer in enumerate(s.layers)
+            for i, layer in enumerate(_cluster_rows(s))
         ],
     }
     return json.dumps(doc, indent=2)
@@ -236,21 +190,29 @@ def scheme_from_json(text: str) -> LayeredScheme:
     """Rebuild a scheme from its JSON form, checking the stored layout.
 
     A document that is not JSON, lacks a key, nests the wrong types or
-    stores an infinite size raises ``ValueError`` like a layout that does
-    not match.
+    stores a size that is not an integer raises ``ValueError`` like a
+    layout that does not match. Cluster counts are compared before any
+    tile array is built, so a huge stored size is rejected without
+    allocating.
     """
     doc = json.loads(text)
     try:
-        s = build_scheme(int(doc["n"]), int(doc["ell"]))
+        n, ell = doc["n"], doc["ell"]
+        if type(n) is not int or type(ell) is not int:
+            raise TypeError(f"n={n!r} and ell={ell!r} must be integers")
+        s = build_scheme(n, ell)
         if doc["m"] != s.m or doc["mode"] != ("complete" if s.complete_mode else "layered"):
             raise ValueError("stored scheme does not match its own parameters")
         stored = [
             [(c["ordinal"], c["lo"], c["hi"]) for c in layer["clusters"]]
             for layer in doc["layers"]
         ]
-    except (KeyError, TypeError, OverflowError) as exc:
+    except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed stored scheme ({type(exc).__name__}: {exc})") from exc
-    built = [[(c.ordinal, c.lo, c.hi) for c in layer] for layer in s.layers]
-    if stored != built:
+    # one cluster fewer than the tiles tile_bounds lays out, counted lazily
+    counts = [] if s.complete_mode else [
+        len(range(0, n, (2 * s.m) ** layer // 2)) - 1 for layer in range(1, ell + 1)
+    ]
+    if [len(layer) for layer in stored] != counts or stored != _cluster_rows(s):
         raise ValueError("stored cluster layout does not match its own parameters")
     return s

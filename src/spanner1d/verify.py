@@ -245,28 +245,6 @@ def _price_pairs(mat, pairs):
     return [float(rows[index[u]][v]) for u, v in pairs]
 
 
-def _price_within_gap(mat, pairs, coords):
-    """Like ``_price_pairs``, but lengths past the gap may read inf.
-
-    Each source runs one Dijkstra that stops past its largest gap times
-    ``1 + 2 * ORACLE_RELATIVE_TOLERANCE``. Any length the oracle test
-    accepts is at most the gap times ``1 + ORACLE_RELATIVE_TOLERANCE``, up
-    to rounding far below the second tolerance, so it is always settled
-    and equals the unbounded length. An inf means the pair is not exact.
-    """
-    by_source = {}
-    for i, (u, v) in enumerate(pairs):
-        by_source.setdefault(u, []).append(i)
-    out = [math.inf] * len(pairs)
-    for u, idx in by_source.items():
-        ends = [pairs[i][1] for i in idx]
-        gap = float(np.max(np.abs(coords[ends] - coords[u])))
-        row = dijkstra(mat, indices=u, limit=gap * (1.0 + 2.0 * ORACLE_RELATIVE_TOLERANCE))
-        for i, v in zip(idx, ends):
-            out[i] = float(row[v])
-    return out
-
-
 def _price_forward(graph: SpannerGraph, ps: PointSet, removed: frozenset, pairs, edges=None):
     """Length of one alive path per pair that never backtracks, or inf.
 
@@ -383,14 +361,13 @@ def verify_robust_spanner(
     never past its right one; a forward path within tolerance certifies it.
     The searches share a budget of one edge examination per alive edge.
     The copy comes from the edge array and the coordinates, not from the
-    reach, so the two checks stay independent. Uncertified pairs get a
-    Dijkstra search on the full alive graph bounded at
-    ``gap * (1 + 2 * tol)``, and every mismatch is re-priced there without
-    a bound, so reports carry full-graph lengths. Ignored-set stretch is
-    priced from the ignored endpoint, and violations without a bound. The
-    alive edges are filtered once, and the full graph's matrix is built
-    only when a violation, an uncertified pair, a mismatch or a stretch
-    pair needs it.
+    reach, so the two checks stay independent. Uncertified pairs, and
+    certified pairs the reach denies, are priced on the full alive graph
+    without a bound, so every mismatch reports its full-graph length.
+    Ignored-set stretch is priced from the ignored endpoint, and
+    violations without a bound. The alive edges are filtered once, and the
+    full graph's matrix is built only when a violation, an uncertified
+    pair, a mismatch or a stretch pair needs it.
     """
     if not (graph.n == ps.n == scheme.n):
         raise SchemeMismatch(
@@ -441,24 +418,23 @@ def verify_robust_spanner(
         oxs, oys = _sample_pairs(rng, targets, min(oracle_sample, 4 * len(targets)))
         sample = list(zip(oxs.tolist(), oys.tolist()))
         wants = (ps.coords[oys] - ps.coords[oxs]).tolist()
-        # a forward path within tolerance certifies its pair; the rest go
-        # through the bounded search on the full alive graph
-        forward = _price_forward(graph, ps, fs, sample, edges)
-        numeric_exact = [_within_tolerance(d, want) for d, want in zip(forward, wants)]
-        uncertified = [i for i, ok in enumerate(numeric_exact) if not ok]
-        if uncertified:
-            full = _price_within_gap(oracle(), [sample[i] for i in uncertified], ps.coords)
-            for i, d in zip(uncertified, full):
-                numeric_exact[i] = _within_tolerance(d, wants[i])
-        oracle_checked = len(sample)
         monotone = _has_bits(packed, oxs, oys).tolist()
+        # a forward path within tolerance certifies its pair; uncertified
+        # pairs, and certified ones the reach denies, are priced on the full
+        # alive graph, so every mismatch reports its full-graph length
+        lengths = _price_forward(graph, ps, fs, sample, edges)
+        numeric_exact = [_within_tolerance(d, want) for d, want in zip(lengths, wants)]
+        full = [i for i, (ok, mono) in enumerate(zip(numeric_exact, monotone)) if not (ok and mono)]
+        if full:
+            for i, d in zip(full, _price_pairs(oracle(), [sample[i] for i in full])):
+                lengths[i] = d
+                numeric_exact[i] = numeric_exact[i] or _within_tolerance(d, wants[i])
+        oracle_checked = len(sample)
         oracle_mismatches = [
-            pair for pair, mono, ok in zip(sample, monotone, numeric_exact) if mono != ok
+            (x, y, d)
+            for (x, y), d, mono, ok in zip(sample, lengths, monotone, numeric_exact)
+            if mono != ok
         ]
-        # every mismatch reports its full-graph length, not a bounded one
-        if oracle_mismatches:
-            full = _price_pairs(oracle(), oracle_mismatches)
-            oracle_mismatches = [(x, y, d) for (x, y), d in zip(oracle_mismatches, full)]
 
     ignored_alive = sorted(f_star - fs)
     max_stretch = math.nan

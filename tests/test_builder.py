@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import spanner1d as sp
-from reference_simple import simple_spanner_edges
+from reference_simple import simple_layers, simple_spanner_edges
 
 # exact deduplicated counts, pinned; single layer follows 14m^3 - 9m^2 + m
 GOLDEN_COUNTS = {
@@ -51,11 +51,11 @@ def test_complete_mode_is_all_pairs(instance):
 
 def test_n16_spot_edges(instance):
     _, _, g = instance(16, 1)
-    assert g.has_edge(0, 1)  # clique inside [0, 4)
-    assert g.has_edge(0, 14)  # rank 0 of tiles [0,2) and [14,16)
-    assert g.has_edge(1, 15)
-    assert not g.has_edge(0, 15)  # ranks differ and no shared cluster
-    assert not g.has_edge(0, 7)
+    assert (0, 1) in g.edge_set  # clique inside [0, 4)
+    assert (0, 14) in g.edge_set  # rank 0 of tiles [0,2) and [14,16)
+    assert (1, 15) in g.edge_set
+    assert (0, 15) not in g.edge_set  # ranks differ and no shared cluster
+    assert (0, 7) not in g.edge_set
 
 
 def test_provenance_tags(instance):
@@ -78,27 +78,28 @@ def test_provenance_depth_3(instance):
     assert set(g.provenance.values()) == RULES
 
 
-def loop_provenance(scheme) -> dict:
-    """The construction rules as plain loops over the scheme: edge -> first rule."""
+def loop_provenance(n: int, ell: int) -> dict:
+    """The construction rules as plain loops over the reference layout: edge -> first rule."""
     prov = {}
-    if scheme.complete_mode:
-        for e in combinations(range(scheme.n), 2):
+    layers = simple_layers(n, ell)
+    if not layers:
+        for e in combinations(range(n), 2):
             prov[e] = "complete"
         return prov
 
     def match(ha, hb, tag):
-        for k in range(min(ha.size, hb.size)):
-            prov.setdefault((ha.lo + k, hb.lo + k), tag)
+        for k in range(min(ha[1] - ha[0], hb[1] - hb[0])):
+            prov.setdefault((ha[0] + k, hb[0] + k), tag)
 
-    for c in scheme.layers[0]:
-        for e in combinations(range(c.lo, c.hi), 2):
+    for lo, hi in layers[0][0]:
+        for e in combinations(range(lo, hi), 2):
             prov.setdefault(e, "clique-layer-1")
-    for layer in range(2, scheme.ell + 1):
-        for c in scheme.layers[layer - 1]:
-            inside = [h for h in scheme.halves[layer - 2] if c.lo <= h.lo and h.hi <= c.hi]
+    for layer in range(2, ell + 1):
+        for lo, hi in layers[layer - 1][0]:
+            inside = [h for h in layers[layer - 2][1] if lo <= h[0] and h[1] <= hi]
             for ha, hb in combinations(inside, 2):
                 match(ha, hb, f"matching-layer-{layer}")
-    for ha, hb in combinations(scheme.halves[-1], 2):
+    for ha, hb in combinations(layers[-1][1], 2):
         match(ha, hb, "matching-top")
     return prov
 
@@ -110,21 +111,22 @@ def loop_provenance(scheme) -> dict:
 def test_builder_matches_loop_reference(n, ell):
     scheme = sp.build_scheme(n, ell)
     g = sp.build_spanner(sp.generate_points(n, "uniform", 2), scheme, with_provenance=True)
-    assert g.provenance == loop_provenance(scheme)
+    assert g.provenance == loop_provenance(n, ell)
     assert g.edges.tolist() == sorted(map(list, g.provenance))
 
 
 @pytest.mark.parametrize("n,ell", [(217, 2), (8, 1)])
-def test_has_edge_agrees_with_edge_set(n, ell, instance):
+def test_csr_rows_agree_with_edge_set(n, ell, instance):
     _, _, g = instance(n, ell)
+    rows = g.indptr.tolist()
     for u in range(n):
-        for v in range(n):
-            assert g.has_edge(u, v) == ((min(u, v), max(u, v)) in g.edge_set)
+        higher = g.edges[rows[u] : rows[u + 1], 1].tolist()
+        assert higher == list(g.higher_neighbors[u])
+        assert higher == [v for v in range(n) if (u, v) in g.edge_set]
 
 
-def test_has_edge_on_edgeless_graph():
+def test_edgeless_graph():
     g = sp.SpannerGraph(1, [])
-    assert not g.has_edge(0, 0)
     assert g.edge_set == frozenset() and g.indptr.tolist() == [0, 0]
 
 
@@ -267,4 +269,4 @@ def test_edges_well_formed_property(n, ell):
     assert np.all(e[:, 0] < e[:, 1])
     assert e.min() >= 0 and e.max() < n
     # consecutive points always share a layer-1 cluster (or the complete graph)
-    assert all(g.has_edge(v, v + 1) for v in range(n - 1))
+    assert all((v, v + 1) in g.edge_set for v in range(n - 1))

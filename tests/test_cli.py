@@ -1,4 +1,9 @@
 import json
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -120,6 +125,43 @@ def test_verify_rejects_malformed_scheme_file(tmp_path, capsys):
     scheme.write_text(json.dumps(doc))
     assert main(["verify", "--graph", str(out)]) == 2
     assert "error: malformed stored scheme" in capsys.readouterr().err
+
+
+def run_capped(*argv):
+    """The CLI in a child process with 2 GB of address space and a 10 s timeout.
+
+    A size guard that fails shows as an allocation error or a timeout
+    here, instead of exhausting the machine.
+    """
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+    src = str(Path(sp.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    env["OPENBLAS_NUM_THREADS"] = "1"
+    return subprocess.run(
+        [sys.executable, "-m", "spanner1d.cli", *argv],
+        capture_output=True, text=True, timeout=10, env=env, preexec_fn=cap,
+    )
+
+
+def test_closure_stats_huge_size_exits_2():
+    done = run_capped("closure-stats", "--n", str(10**18), "--ell", "1", "--k", "1")
+    assert done.returncode == 2, done.stderr
+    assert "error:" in done.stderr
+
+
+def test_verify_rejects_huge_stored_size(tmp_path, capsys):
+    out = tmp_path / "g"
+    assert main(["build", "--n", "16", "--ell", "1", "--out", str(out)]) == 0
+    scheme = tmp_path / "g.scheme.json"
+    doc = json.loads(scheme.read_text())
+    doc.update(n=10**18, m=sp.choose_m(10**18, 1))
+    scheme.write_text(json.dumps(doc))
+    done = run_capped("verify", "--graph", str(out))
+    assert done.returncode == 2, done.stderr
+    assert "error: stored cluster layout does not match" in done.stderr
 
 
 def test_verify_failure_model_flags(tmp_path, capsys):

@@ -3,6 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import spanner1d as sp
+from reference_simple import simple_closure, simple_layers
 from spanner1d.closure import compute_closure, half_threshold, within_spec_bound
 
 
@@ -33,10 +34,11 @@ def test_single_failure_golden():
     trace = compute_closure(sp.build_scheme(16, 1), frozenset({3}))
     assert trace.f_star == frozenset(range(6))
     assert len(trace.triggered) == 1
-    ev = trace.triggered[0]
-    assert (ev.half.lo, ev.half.hi) == (2, 4)
-    assert [(c.lo, c.hi) for c in ev.clusters] == [(0, 4), (2, 6)]
-    assert ev.added == frozenset(range(6))
+    tile = trace.triggered[0]
+    assert (tile.layer, tile.ordinal, tile.side, tile.lo, tile.hi) == (1, 2, "L", 2, 4)
+    spans, _ = simple_layers(16, 1)[0]
+    owners = [(a, b) for a, b in spans if a <= tile.lo and tile.hi <= b]
+    assert owners == [(0, 4), (2, 6)]
 
 
 def test_two_failures_golden():
@@ -110,16 +112,20 @@ def test_closure_monotone_property(n, ell, data):
     assert fs <= trace.f_star
 
 
-@settings(max_examples=30, deadline=None)
-@given(st.data())
-def test_closure_additions_are_triggered_clusters(data):
-    n, ell = 100, 2
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=400),
+    st.integers(min_value=1, max_value=3),
+    st.data(),
+)
+def test_closure_additions_are_triggered_clusters(n, ell, data):
+    """Snapshots and triggering tiles match the reference closure, which adds
+    every reference cluster containing a triggered tile."""
     scheme = sp.build_scheme(n, ell)
     fs = frozenset(
         data.draw(st.sets(st.integers(min_value=0, max_value=n - 1), max_size=10))
     )
     trace = compute_closure(scheme, fs)
-    rebuilt = set(fs)
-    for ev in trace.triggered:
-        rebuilt |= ev.added
-    assert frozenset(rebuilt) == trace.f_star
+    per_layer, triggered = simple_closure(n, ell, fs)
+    assert list(trace.per_layer) == per_layer
+    assert [(t.layer, t.lo, t.hi) for t in trace.triggered] == triggered
