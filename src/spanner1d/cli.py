@@ -263,7 +263,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (ValueError, OSError, MemoryError) as exc:
+    except (ValueError, OSError, MemoryError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -189,14 +189,14 @@ def scheme_to_json(s: LayeredScheme) -> str:
 def scheme_from_json(text: str) -> LayeredScheme:
     """Rebuild a scheme from its JSON form, checking the stored layout.
 
-    A document that is not JSON, lacks a key, nests the wrong types or
-    stores a size that is not an integer raises ``ValueError`` like a
-    layout that does not match. Cluster counts are compared before any
-    tile array is built, so a huge stored size is rejected without
-    allocating.
+    A document that is not JSON, nests too deeply to parse, lacks a key,
+    nests the wrong types or stores a size that is not an integer raises
+    ``ValueError`` like a layout that does not match. Cluster counts are
+    compared before any tile array is built, so a huge stored size is
+    rejected without allocating.
     """
-    doc = json.loads(text)
     try:
+        doc = json.loads(text)
         n, ell = doc["n"], doc["ell"]
         if type(n) is not int or type(ell) is not int:
             raise TypeError(f"n={n!r} and ell={ell!r} must be integers")
@@ -207,7 +207,7 @@ def scheme_from_json(text: str) -> LayeredScheme:
             [(c["ordinal"], c["lo"], c["hi"]) for c in layer["clusters"]]
             for layer in doc["layers"]
         ]
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, RecursionError) as exc:
         raise ValueError(f"malformed stored scheme ({type(exc).__name__}: {exc})") from exc
     # one cluster fewer than the tiles tile_bounds lays out, counted lazily
     counts = [] if s.complete_mode else [

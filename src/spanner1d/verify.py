@@ -10,17 +10,16 @@ numeric route) cross-checks sampled pairs and prices violations.
 
 The oracle certifies exactness on a directed copy of the alive edges,
 each pointing from its smaller to its larger coordinate, before any
-full search: a path in the copy never backtracks, so every path in it
-between two vertices has their gap as its length, up to rounding, and
-one depth-first path search per pair suffices. A path whose summed
-length passes the tolerance test is a real alive path the full search
-would accept too. The searches of one verify share a budget of one
-examination per alive edge; pairs left uncertified, by the search or
-by the budget, are searched on the whole alive graph, whose matrix is
-built only when some pair needs it. The copy is built from the edge
-array and the coordinates alone, never from the bitset reach or from
-index order, so the oracle stays independent of the combinatorial
-criterion.
+full search: a path in the copy never backtracks, so it has the gap as
+its length up to rounding, and one depth-first path search per pair
+suffices. The searches of one verify share a budget of one examination
+per alive edge; pairs left uncertified are searched on the whole alive
+graph, whose matrix is built only when some pair needs it. Sampled pairs
+and ignored-set stretch pairs are priced this one way, and a stretch
+pair that passes the oracle's tolerance test has stretch exactly 1. The
+copy is built from the edge array and the coordinates alone, never from
+the bitset reach or from index order, so the oracle stays independent
+of the combinatorial criterion.
 """
 
 from __future__ import annotations
@@ -245,8 +244,8 @@ def _price_pairs(mat, pairs):
     return [float(rows[index[u]][v]) for u, v in pairs]
 
 
-def _price_forward(graph: SpannerGraph, ps: PointSet, removed: frozenset, pairs, edges=None):
-    """Length of one alive path per pair that never backtracks, or inf.
+def _price_forward(ps: PointSet, edges: np.ndarray, pairs):
+    """Length of one path per pair on the alive ``edges`` that never backtracks, or inf.
 
     Each pair is searched depth first on ``_forward_rows``, from its
     endpoint with the smaller coordinate, trying the head with the largest
@@ -255,10 +254,7 @@ def _price_forward(graph: SpannerGraph, ps: PointSet, removed: frozenset, pairs,
     will do; the length is summed along it in path order. All pairs share
     one budget of edge examinations, the number of alive edges: a pair
     still searching when it runs out reads inf, as does every later one.
-    ``edges`` may pass in the alive edges already filtered from ``graph``.
     """
-    if edges is None:
-        edges = _alive_edges(graph, removed)
     indptr, heads = _forward_rows(ps, edges)
     c = ps.coords.tolist()
     rows = [None] * len(c)  # a row becomes a list when first entered
@@ -299,6 +295,25 @@ def _price_forward(graph: SpannerGraph, ps: PointSet, removed: frozenset, pairs,
 def _within_tolerance(found: float, want: float) -> bool:
     """The oracle's exactness test: finite and within 1e-12 of the gap, relatively."""
     return math.isfinite(found) and abs(found - want) <= ORACLE_RELATIVE_TOLERANCE * want
+
+
+def _price_exact(ps: PointSet, edges: np.ndarray, oracle, pairs, trusted):
+    """Each pair's length, and whether it passes the oracle's exactness test.
+
+    Pairs are priced on the forward copy first. A pair that fails the
+    tolerance test there, or that ``trusted`` leaves False, is priced again
+    on the full alive graph ``oracle()`` without a bound, in one call.
+    """
+    c = ps.coords.tolist()
+    wants = [abs(c[y] - c[x]) for x, y in pairs]
+    lengths = _price_forward(ps, edges, pairs)
+    exact = [_within_tolerance(d, want) for d, want in zip(lengths, wants)]
+    full = [i for i, (ok, trust) in enumerate(zip(exact, trusted)) if not (ok and trust)]
+    if full:
+        for i, d in zip(full, _price_pairs(oracle(), [pairs[i] for i in full])):
+            lengths[i] = d
+            exact[i] = exact[i] or _within_tolerance(d, wants[i])
+    return lengths, exact
 
 
 def _check_pairs_exhaustive(packed: np.ndarray, targets: np.ndarray):
@@ -364,10 +379,11 @@ def verify_robust_spanner(
     reach, so the two checks stay independent. Uncertified pairs, and
     certified pairs the reach denies, are priced on the full alive graph
     without a bound, so every mismatch reports its full-graph length.
-    Ignored-set stretch is priced from the ignored endpoint, and
-    violations without a bound. The alive edges are filtered once, and the
-    full graph's matrix is built only when a violation, an uncertified
-    pair, a mismatch or a stretch pair needs it.
+    Ignored-set stretch pairs are priced the same way: a pair that passes
+    the tolerance test has stretch exactly 1, any other its full-graph
+    length over its gap. Violations are priced without a bound. The alive
+    edges are filtered once, and the full graph's matrix is built only
+    when a violation or an uncertified or denied pair needs it.
     """
     if not (graph.n == ps.n == scheme.n):
         raise SchemeMismatch(
@@ -389,72 +405,54 @@ def verify_robust_spanner(
     rng = np.random.default_rng(seed)
 
     exhaustive = n <= exhaustive_limit
-    if exhaustive:
-        pairs_checked, exact_pairs, missing = _check_pairs_exhaustive(packed, targets)
-    else:
-        if len(targets) >= 2:
-            xs, ys = _sample_pairs(rng, targets, pair_sample)
-        else:
-            xs = ys = np.empty(0, dtype=np.int64)
+    xs = ys = np.empty(0, dtype=np.int64)
+    if not exhaustive and len(targets) >= 2:
+        xs, ys = _sample_pairs(rng, targets, pair_sample)
+
+    def check(packed):
+        """(pairs, exact, missing) of the checked pairs; only missing ones become tuples."""
+        if exhaustive:
+            return _check_pairs_exhaustive(packed, targets)
         hit = _has_bits(packed, xs, ys)
-        pairs_checked = len(xs)
-        exact_pairs = int(hit.sum())
-        # only the missing pairs become tuples
-        missing = list(zip(xs[~hit].tolist(), ys[~hit].tolist()))
+        return len(xs), int(hit.sum()), list(zip(xs[~hit].tolist(), ys[~hit].tolist()))
+
+    pairs_checked, exact_pairs, missing = check(packed)
 
     # one alive filter for the whole oracle; the full matrix only when used
     edges = _alive_edges(graph, fs) if missing or oracle_sample > 0 else None
     oracle = functools.cache(lambda: _oracle_csr(ps, edges))
-    violations = []
-    if missing:
-        priced = _price_pairs(oracle(), missing[:512])
-        for (x, y), d in zip(missing[:512], priced):
-            violations.append((x, y, None if math.isinf(d) else d))
-        violations.extend((x, y, None) for x, y in missing[512:])
+    priced = _price_pairs(oracle(), missing[:512]) if missing else []
+    violations = [(x, y, None if math.isinf(d) else d) for (x, y), d in zip(missing, priced)]
+    violations.extend((x, y, None) for x, y in missing[512:])
 
     oracle_checked = 0
     oracle_mismatches = []
     if oracle_sample > 0 and len(targets) >= 2:
         oxs, oys = _sample_pairs(rng, targets, min(oracle_sample, 4 * len(targets)))
         sample = list(zip(oxs.tolist(), oys.tolist()))
-        wants = (ps.coords[oys] - ps.coords[oxs]).tolist()
+        # a pair the reach denies is priced on the full graph even when its
+        # forward path certifies, so every mismatch reports that length
         monotone = _has_bits(packed, oxs, oys).tolist()
-        # a forward path within tolerance certifies its pair; uncertified
-        # pairs, and certified ones the reach denies, are priced on the full
-        # alive graph, so every mismatch reports its full-graph length
-        lengths = _price_forward(graph, ps, fs, sample, edges)
-        numeric_exact = [_within_tolerance(d, want) for d, want in zip(lengths, wants)]
-        full = [i for i, (ok, mono) in enumerate(zip(numeric_exact, monotone)) if not (ok and mono)]
-        if full:
-            for i, d in zip(full, _price_pairs(oracle(), [sample[i] for i in full])):
-                lengths[i] = d
-                numeric_exact[i] = numeric_exact[i] or _within_tolerance(d, wants[i])
+        lengths, exact = _price_exact(ps, edges, oracle, sample, monotone)
         oracle_checked = len(sample)
         oracle_mismatches = [
-            (x, y, d)
-            for (x, y), d, mono, ok in zip(sample, lengths, monotone, numeric_exact)
-            if mono != ok
+            (x, y, d) for (x, y), d, mono, ok in zip(sample, lengths, monotone, exact) if mono != ok
         ]
 
-    ignored_alive = sorted(f_star - fs)
+    ignored_alive = np.array(sorted(f_star - fs), dtype=np.int64)
     max_stretch = math.nan
-    if ignored_alive and oracle_sample > 0:
-        others = [v for v in range(n) if v not in fs]
-        pairs = []
+    if len(ignored_alive) and oracle_sample > 0:
+        live = np.flatnonzero(alive)
         k = min(oracle_sample, 4 * len(ignored_alive))
-        a = rng.integers(0, len(ignored_alive), size=k)
-        b = rng.integers(0, len(others), size=k)
-        for i, j in zip(a.tolist(), b.tolist()):
-            x, y = ignored_alive[i], others[j]
-            if x != y:
-                pairs.append((x, y))
-        if pairs:
-            # priced from the ignored endpoint: at most |F* \ F| sources
-            priced = _price_pairs(oracle(), pairs)
-            ratios = [
-                d / abs(ps.coords[y] - ps.coords[x]) for (x, y), d in zip(pairs, priced)
-            ]
-            max_stretch = float(max(ratios))
+        ixs = ignored_alive[rng.integers(0, len(ignored_alive), size=k)]
+        iys = live[rng.integers(0, len(live), size=k)]
+        ixs, iys = ixs[ixs != iys], iys[ixs != iys]
+        if len(ixs):
+            pairs = list(zip(ixs.tolist(), iys.tolist()))
+            lengths, exact = _price_exact(ps, edges, oracle, pairs, [True] * len(pairs))
+            # an exact path never backtracks, so in exact arithmetic its length is the gap
+            ratios = np.array(lengths) / np.abs(ps.coords[iys] - ps.coords[ixs])
+            max_stretch = float(np.where(exact, 1.0, ratios).max())
     # drop the alive edges and the full matrix before the second reach pass
     del edges, oracle
 
@@ -462,12 +460,8 @@ def verify_robust_spanner(
     if strong_check:
         # the second pass overwrites the first's matrix, no longer needed
         alive2 = [v not in f_star for v in range(n)]
-        packed = _pack_reach(_forward_reach(graph, alive2), packed)
-        if exhaustive:
-            pairs2, exact2, _ = _check_pairs_exhaustive(packed, targets)
-            strong_ok = exact2 == pairs2
-        else:
-            strong_ok = bool(_has_bits(packed, xs, ys).all())
+        pairs2, exact2, _ = check(_pack_reach(_forward_reach(graph, alive2), packed))
+        strong_ok = exact2 == pairs2
 
     return VerificationReport(
         n=n,

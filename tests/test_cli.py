@@ -127,6 +127,14 @@ def test_verify_rejects_malformed_scheme_file(tmp_path, capsys):
     assert "error: malformed stored scheme" in capsys.readouterr().err
 
 
+def test_verify_rejects_deeply_nested_scheme_file(tmp_path, capsys):
+    out = tmp_path / "g"
+    assert main(["build", "--n", "16", "--ell", "1", "--out", str(out)]) == 0
+    (tmp_path / "g.scheme.json").write_text("[" * 200_000)
+    assert main(["verify", "--graph", str(out)]) == 2
+    assert "error: malformed stored scheme (RecursionError" in capsys.readouterr().err
+
+
 def run_capped(*argv):
     """The CLI in a child process with 2 GB of address space and a 10 s timeout.
 
@@ -150,6 +158,16 @@ def test_closure_stats_huge_size_exits_2():
     done = run_capped("closure-stats", "--n", str(10**18), "--ell", "1", "--k", "1")
     assert done.returncode == 2, done.stderr
     assert "error:" in done.stderr
+
+
+def test_closure_stats_size_past_int64_exits_2(monkeypatch, capsys):
+    # the failure draw overflows before compute_closure allocates n bytes
+    def no_closure(*args):
+        raise AssertionError("compute_closure reached")
+
+    monkeypatch.setattr(sp.experiments, "compute_closure", no_closure)
+    assert main(["closure-stats", "--n", str(2**63), "--ell", "1", "--k", "1"]) == 2
+    assert "error:" in capsys.readouterr().err
 
 
 def test_verify_rejects_huge_stored_size(tmp_path, capsys):

@@ -250,7 +250,7 @@ def test_oracle_mismatch_on_exact_pair_reports_gap(monkeypatch):
     assert not rep.passed
 
 
-def never_certify(graph, ps, removed, pairs, edges=None):
+def never_certify(ps, edges, pairs):
     """``_price_forward`` with no forward path found, so every pair takes the full search."""
     return [math.inf] * len(pairs)
 
@@ -268,6 +268,10 @@ def never_certify(graph, ps, removed, pairs, edges=None):
 )
 @example(
     n=77, ell=2, model="uniform", drop=0.57, seed=1, flip_all=True, oracle_sample=20, exhaustive_limit=64
+)
+# ignored survivors that reach others only by backtracking: stretch 2.31
+@example(
+    n=120, ell=2, model="uniform", drop=0.3, seed=0, flip_all=True, oracle_sample=20, exhaustive_limit=64
 )
 def test_forward_certificates_match_full_search_property(
     n, ell, model, drop, seed, flip_all, oracle_sample, exhaustive_limit
@@ -348,10 +352,11 @@ def test_path_search_certifies_the_dijkstra_pairs_property(n, ell, model, drop, 
     xs, ys = _sample_pairs(rng, alive, 200)
     # either endpoint may come first
     pairs = [(x, y) if i % 2 else (y, x) for i, (x, y) in enumerate(zip(xs.tolist(), ys.tolist()))]
-    alone = [verify._price_forward(g, ps, fs, [p])[0] for p in pairs]
+    edges = verify._alive_edges(g, fs)
+    alone = [verify._price_forward(ps, edges, [p])[0] for p in pairs]
     want = dijkstra_price_forward(g, ps, fs, pairs)
     assert certified(ps, pairs, alone) == certified(ps, pairs, want)
-    batch = verify._price_forward(g, ps, fs, pairs)
+    batch = verify._price_forward(ps, edges, pairs)
     cut = next((i for i, (a, b) in enumerate(zip(batch, alone)) if a != b), len(pairs))
     assert all(math.isinf(d) for d in batch[cut:])
 
@@ -361,8 +366,8 @@ def test_path_search_backs_out_of_a_dead_end():
     # no edge up the line; it backs out and goes through 1
     ps = sp.make_point_set([0.0, 1.0, 2.0, 3.0])
     g = sp.SpannerGraph(4, [(0, 1), (0, 2), (1, 3)])
-    assert verify._price_forward(g, ps, frozenset(), [(3, 0)]) == [3.0]
-    assert verify._price_forward(g, ps, frozenset(), [(2, 3)]) == [math.inf]
+    assert verify._price_forward(ps, g.edges, [(3, 0)]) == [3.0]
+    assert verify._price_forward(ps, g.edges, [(2, 3)]) == [math.inf]
 
 
 def half_clique(n):
@@ -385,11 +390,11 @@ def test_half_clique_cross_pairs_read_inf():
     g = half_clique(n)
     inside = [(160, 290), (3, 140)]
     cross = [(x, y) for x in range(0, 150, 7) for y in range(150, 300, 11)]
-    lengths = verify._price_forward(g, ps, frozenset(), inside + cross)
+    lengths = verify._price_forward(ps, g.edges, inside + cross)
     assert certified(ps, inside, lengths[:2]) == [True, True]
     assert all(math.isinf(d) for d in lengths[2:])
     spent = [(0, 150), (1, 151), (160, 290)]
-    assert verify._price_forward(g, ps, frozenset(), spent) == [math.inf] * 3
+    assert verify._price_forward(ps, g.edges, spent) == [math.inf] * 3
     scheme = sp.build_scheme(n, 1)
     fs = sp.random_failures(n, 15, 1)
     rep = sp.verify_robust_spanner(g, ps, scheme, fs, seed=2)
@@ -404,7 +409,7 @@ def test_detour_within_tolerance_reaches_the_full_search():
     # has no path, but the detour passes the oracle's 1e-12 test
     ps = sp.make_point_set([0.0, 1.0, 1.0 + 1e-14])
     g = sp.SpannerGraph(3, [(0, 2), (1, 2)])
-    assert verify._price_forward(g, ps, frozenset(), [(0, 1)]) == [math.inf]
+    assert verify._price_forward(ps, g.edges, [(0, 1)]) == [math.inf]
     detour = sp.brute_force_oracle(g, ps, frozenset())[(0, 1)]
     assert 1.0 < detour <= 1.0 + ORACLE_RELATIVE_TOLERANCE
     rep = sp.verify_robust_spanner(g, ps, sp.build_scheme(3, 1), frozenset(), seed=1)
@@ -417,12 +422,40 @@ def test_flipped_exact_pair_reports_full_graph_length(monkeypatch):
     # the detour through vertex 0, just left of 1, sums to exactly 3
     ps = sp.make_point_set([-1e-20, 0.0, 0.7, 2.9, 3.0])
     g = sp.SpannerGraph(5, [(1, 2), (2, 3), (3, 4), (0, 1), (0, 4)])
-    assert verify._price_forward(g, ps, frozenset(), [(1, 4)]) == [3.0000000000000004]
+    assert verify._price_forward(ps, g.edges, [(1, 4)]) == [3.0000000000000004]
     exact = sp.brute_force_oracle(g, ps, frozenset())
     assert exact[(1, 4)] == 3.0
     monkeypatch.setattr(verify, "_forward_reach", flipped_reach([1]))
     rep = sp.verify_robust_spanner(g, ps, sp.build_scheme(5, 1), frozenset(), seed=1)
     assert set(rep.oracle_mismatches) == {(1, y, exact[(1, y)]) for y in (2, 3, 4)}
+
+
+def test_certified_stretch_pairs_take_no_full_search(instance):
+    """Stretch pairs with a forward path have stretch exactly 1, with no full search."""
+    ps, scheme, g = instance(100, 2)
+    fs = sp.random_failures(100, 5, 1)
+
+    def no_full_search(mat, pairs):
+        raise AssertionError(f"full search for {len(pairs)} pairs")
+
+    with mock.patch.object(verify, "_price_pairs", no_full_search):
+        rep = sp.verify_robust_spanner(g, ps, scheme, fs, seed=1)
+    assert rep.f_star_size > rep.f_size
+    assert rep.max_stretch_over_ignored == 1.0
+
+
+def test_backtracking_stretch_is_full_graph_length_over_gap():
+    # every vertex but 5, 6 and 9 fails, so all three survivors are ignored;
+    # 5 reaches 6 only through 9, past 6 and back
+    ps = sp.make_point_set(np.arange(16.0))
+    g = sp.SpannerGraph(16, [(5, 9), (6, 9)])
+    fs = frozenset(range(16)) - {5, 6, 9}
+    assert verify._price_forward(ps, g.edges, [(5, 6)]) == [math.inf]
+    rep = sp.verify_robust_spanner(g, ps, sp.build_scheme(16, 1), fs, seed=1)
+    assert rep.f_star_size == 16
+    detour = sp.brute_force_oracle(g, ps, fs)[(5, 6)]
+    assert detour == 7.0
+    assert rep.max_stretch_over_ignored == detour / (ps.coords[6] - ps.coords[5])
 
 
 @pytest.mark.parametrize(
@@ -442,7 +475,7 @@ def test_forward_step_certifies_exactly_the_monotone_pairs(n, ell, model):
     alive = [v for v in range(n) if v not in fs]
     pairs = [tuple(sorted(p)) for p in rng.choice(alive, size=(400, 2)).tolist() if p[0] != p[1]]
     reach = _forward_reach(g, [v not in fs for v in range(n)])
-    lengths = verify._price_forward(g, ps, fs, pairs)
+    lengths = verify._price_forward(ps, verify._alive_edges(g, fs), pairs)
     certified = [
         verify._within_tolerance(d, ps.coords[y] - ps.coords[x])
         for (x, y), d in zip(pairs, lengths)
