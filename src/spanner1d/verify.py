@@ -8,6 +8,11 @@ surviving pair outside the ignored set must be joined by an
 index-monotone path. A weighted shortest-path oracle (independent
 numeric route) cross-checks sampled pairs and prices violations.
 
+The reach is one bigint sweep from the top vertex down, each row the OR
+of its alive higher neighbours' rows. A neighbour inside the run of
+vertices that an already OR-ed row covers is skipped: it is in that row,
+so everything it reaches is too.
+
 The oracle certifies exactness on a directed copy of the alive edges,
 each pointing from its smaller to its larger coordinate, before any
 full search: a path in the copy never backtracks, so it has the gap as
@@ -47,17 +52,40 @@ class TooLarge(ValueError):
 
 
 def _forward_reach(graph: SpannerGraph, alive) -> list:
-    """Bitset per vertex of everything reachable by increasing-index paths."""
+    """Bitset per vertex of everything reachable by increasing-index paths.
+
+    Rows are built from the top vertex down, each the OR of its alive
+    higher neighbours' rows. A finished row ``x`` records ``top[x]``, the
+    last vertex of the run ``[x, top[x]]`` it covers, dead vertices
+    counting as covered. Neighbours are walked in ascending order, and a
+    neighbour ``w`` at or below the ``top`` of the last row OR-ed, say
+    ``v``'s, is skipped: if ``w`` is alive and ``v < w <= top[v]``, then
+    ``w`` is in ``v``'s row, and every monotone path from ``w`` extends
+    the path from ``v`` to ``w``, so ``w``'s row is already in ``v``'s.
+    """
     adj_high = graph.higher_neighbors
+    dead = int.from_bytes(
+        np.packbits(~np.asarray(alive, dtype=bool), bitorder="little").tobytes(), "little"
+    )
     reach = [0] * graph.n
+    top = [0] * graph.n
     for x in range(graph.n - 1, -1, -1):
         if not alive[x]:
             continue
         r = 1 << x
-        for w in adj_high[x]:
+        nb = adj_high[x]
+        i = 0
+        while i < len(nb):
+            w = nb[i]
             if alive[w]:
                 r |= reach[w]
+                i = bisect_right(nb, top[w], i + 1)
+            else:
+                i += 1
         reach[x] = r
+        # the run of ones from bit x of r | dead ends at top[x]
+        t = (r | dead) >> x
+        top[x] = x + (t ^ (t + 1)).bit_length() - 2
     return reach
 
 
@@ -367,7 +395,8 @@ def verify_robust_spanner(
     stay index arrays and are looked up in it in one vectorised step; the
     exhaustive check counts each row's bits above ``x`` at targets with a
     popcount table. Only missing pairs become tuples. The strong variant
-    repacks the same matrix with the whole ignored set deleted.
+    repacks the same matrix with the whole ignored set deleted; when the
+    closure adds nothing to the failures, it takes the first pass's verdict.
 
     ``oracle_sample`` pairs are additionally priced by the numeric oracle
     and must agree with the monotone criterion to within a 1e-12 relative
@@ -458,9 +487,12 @@ def verify_robust_spanner(
 
     strong_ok = None
     if strong_check:
-        # the second pass overwrites the first's matrix, no longer needed
-        alive2 = [v not in f_star for v in range(n)]
-        pairs2, exact2, _ = check(_pack_reach(_forward_reach(graph, alive2), packed))
+        # when the closure adds nothing, the second pass would repeat the first
+        pairs2, exact2 = pairs_checked, exact_pairs
+        if f_star != fs:
+            # the second pass overwrites the first's matrix, no longer needed
+            alive2 = [v not in f_star for v in range(n)]
+            pairs2, exact2, _ = check(_pack_reach(_forward_reach(graph, alive2), packed))
         strong_ok = exact2 == pairs2
 
     return VerificationReport(

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 from unittest import mock
@@ -57,6 +58,27 @@ def test_forward_reach_matches_per_source(instance):
         for x in range(g.n):
             want = set() if x in removed else monotone_reach_up(g, removed, x)
             assert rows[x] == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.integers(min_value=1, max_value=40),
+    density=st.floats(min_value=0.0, max_value=1.0),
+    removal=st.floats(min_value=0.0, max_value=1.0),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+@example(n=1, density=1.0, removal=0.0, seed=0)
+@example(n=40, density=0.5, removal=1.0, seed=0)  # every vertex dead
+@example(n=40, density=0.2, removal=0.0, seed=1)  # every vertex alive
+def test_forward_reach_matches_reference_property(n, density, removal, seed):
+    """Skipping covered neighbours leaves every row as the per-source search finds it."""
+    rng = np.random.default_rng(seed)
+    u, v = np.triu_indices(n, 1)
+    keep = rng.random(len(u)) < density
+    g = sp.SpannerGraph(n, np.stack([u[keep], v[keep]], 1))
+    removed = frozenset(np.flatnonzero(rng.random(n) < removal).tolist())
+    rows = reach_sets(g, [x not in removed for x in range(n)])
+    assert rows == [set() if x in removed else monotone_reach_up(g, removed, x) for x in range(n)]
 
 
 def test_oracle_on_complete_graph(instance):
@@ -422,11 +444,22 @@ def test_flipped_exact_pair_reports_full_graph_length(monkeypatch):
     # the detour through vertex 0, just left of 1, sums to exactly 3
     ps = sp.make_point_set([-1e-20, 0.0, 0.7, 2.9, 3.0])
     g = sp.SpannerGraph(5, [(1, 2), (2, 3), (3, 4), (0, 1), (0, 4)])
-    assert verify._price_forward(ps, g.edges, [(1, 4)]) == [3.0000000000000004]
+    price_forward = verify._price_forward
+    assert price_forward(ps, g.edges, [(1, 4)]) == [3.0000000000000004]
     exact = sp.brute_force_oracle(g, ps, frozenset())
     assert exact[(1, 4)] == 3.0
+    forward = []
+
+    def spy(ps, edges, pairs):
+        lengths = price_forward(ps, edges, pairs)
+        forward.extend(zip(pairs, lengths))
+        return lengths
+
     monkeypatch.setattr(verify, "_forward_reach", flipped_reach([1]))
-    rep = sp.verify_robust_spanner(g, ps, sp.build_scheme(5, 1), frozenset(), seed=1)
+    monkeypatch.setattr(verify, "_price_forward", spy)
+    rep = sp.verify_robust_spanner(g, ps, sp.build_scheme(5, 1), frozenset(), seed=0)
+    # (1, 4) is drawn first, so it certifies before the shared budget runs out
+    assert forward[0] == ((1, 4), 3.0000000000000004)
     assert set(rep.oracle_mismatches) == {(1, y, exact[(1, y)]) for y in (2, 3, 4)}
 
 
@@ -598,6 +631,16 @@ def test_exhaustive_missing_pairs_order():
     assert missing == [(2, 3), (1, 2), (1, 3), (0, 1), (0, 2), (0, 3)]
 
 
+def strong_reference(g, f_star, exhaustive, seed, pair_sample):
+    """The strong verdict from a fresh reach with the whole ignored set deleted."""
+    targets = [v for v in range(g.n) if v not in f_star]
+    reach2 = _forward_reach(g, [v not in f_star for v in range(g.n)])
+    if exhaustive:
+        return not bigint_check_pairs_exhaustive(reach2, targets)[2]
+    pairs = loop_sample_pairs(np.random.default_rng(seed), targets, pair_sample)
+    return all((reach2[x] >> y) & 1 for x, y in pairs)
+
+
 @pytest.mark.parametrize("exhaustive_limit", [512, 0])
 def test_strong_variant_reads_its_own_pass(instance, exhaustive_limit):
     """Deleting the whole ignored set here cuts pairs the first pass keeps."""
@@ -608,14 +651,34 @@ def test_strong_variant_reads_its_own_pass(instance, exhaustive_limit):
     )
     assert rep.passed and rep.violations == ()
     f_star = sp.compute_closure(scheme, fs).f_star
-    targets = [v for v in range(64) if v not in f_star]
-    reach2 = _forward_reach(g, [v not in f_star for v in range(64)])
-    if exhaustive_limit:
-        want = not bigint_check_pairs_exhaustive(reach2, targets)[2]
-    else:
-        pairs = loop_sample_pairs(np.random.default_rng(1), targets, 2000)
-        want = all((reach2[x] >> y) & 1 for x, y in pairs)
+    want = strong_reference(g, f_star, exhaustive_limit > 0, 1, 2000)
     assert rep.strong_variant_ok is want is False
+
+
+@pytest.mark.parametrize("exhaustive_limit", [512, 0])
+@pytest.mark.parametrize("fs", [(), (3,), (8, 9, 30), (24, 25, 55)])
+@pytest.mark.parametrize("cut", [False, True])
+def test_strong_pass_sweeps_only_when_the_closure_grows(instance, cut, fs, exhaustive_limit):
+    """When ``F* == F`` the first pass's verdict is the strong one, with no second sweep."""
+    ps, scheme, g = instance(64, 1)
+    if cut:
+        # the edge is the only path between consecutive vertices, so pairs go missing
+        g = sp.SpannerGraph(64, [e for e in g.edge_set if e != (10, 11)])
+    fs = frozenset(fs)
+    f_star = sp.compute_closure(scheme, fs).f_star
+    kwargs = dict(exhaustive_limit=exhaustive_limit, pair_sample=2000, seed=1)
+    calls = []
+
+    def counted(graph, alive):
+        calls.append(alive)
+        return _forward_reach(graph, alive)
+
+    with mock.patch.object(verify, "_forward_reach", counted):
+        rep = sp.verify_robust_spanner(g, ps, scheme, fs, **kwargs)
+    assert len(calls) == (1 if f_star == fs else 2)
+    want = strong_reference(g, f_star, exhaustive_limit > 0, 1, 2000)
+    base = sp.verify_robust_spanner(g, ps, scheme, fs, strong_check=False, **kwargs)
+    assert rep.to_json() == dataclasses.replace(base, strong_variant_ok=want).to_json()
 
 
 @pytest.mark.parametrize("kwargs", [dict(pair_sample=-1), dict(oracle_sample=-3)])
