@@ -73,4 +73,6 @@ def compute_closure(scheme: LayeredScheme, failures) -> ClosureTrace:
 
 def within_spec_bound(trace: ClosureTrace) -> bool:
     """True iff |F*| <= 6**ell * |F|, the guaranteed growth bound."""
-    return len(trace.f_star) <= 6**trace.ell * len(trace.failures)
+    f_star = len(trace.f_star)
+    # past the bit length of |F*|, 6**ell > |F*|, and |F| >= 1 whenever |F*| >= 1
+    return f_star <= 6 ** min(trace.ell, f_star.bit_length()) * len(trace.failures)

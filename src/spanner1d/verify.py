@@ -11,7 +11,8 @@ numeric route) cross-checks sampled pairs and prices violations.
 The reach is one bigint sweep from the top vertex down, each row the OR
 of its alive higher neighbours' rows. A neighbour inside the run of
 vertices that an already OR-ed row covers is skipped: it is in that row,
-so everything it reaches is too.
+so everything it reaches is too. The exhaustive check and the oracle read
+these rows as they are; only a sampled check packs them into a byte matrix.
 
 The oracle certifies exactness on a directed copy of the alive edges,
 each pointing from its smaller to its larger coordinate, before any
@@ -92,18 +93,17 @@ def _forward_reach(graph: SpannerGraph, alive) -> list:
 # bytes of packed rows converted per step: bounds the ints alive at once
 _PACK_CHUNK_BYTES = 1 << 22
 
-_POPCOUNT = np.array([bin(i).count("1") for i in range(256)], dtype=np.uint8)
 
+def _pack_reach(reach: list) -> np.ndarray:
+    """The ``n``-bit rows of ``reach`` packed little-endian into a new matrix.
 
-def _pack_reach(reach: list, out: np.ndarray) -> np.ndarray:
-    """Pack the ``n``-bit rows of ``reach`` little-endian into ``out``.
-
-    Bit ``y`` of row ``x`` lands in ``out[x, y >> 3]`` at bit ``y & 7``.
-    Rows are converted a bounded chunk at a time, and each chunk's ints
-    are dropped from ``reach`` once packed, so the ints and the matrix are
-    never both held in full.
+    Bit ``y`` of row ``x`` lands in byte ``y >> 3`` of matrix row ``x``,
+    at bit ``y & 7``. Rows are converted a bounded chunk at a time, and
+    each chunk's ints are dropped from ``reach`` once packed, so the ints
+    and the matrix are never both held in full.
     """
-    n, n_bytes = out.shape
+    n, n_bytes = len(reach), (len(reach) + 7) // 8
+    out = np.empty((n, n_bytes), np.uint8)
     step = max(1, _PACK_CHUNK_BYTES // n_bytes)
     for lo in range(0, n, step):
         hi = min(lo + step, n)
@@ -111,11 +111,6 @@ def _pack_reach(reach: list, out: np.ndarray) -> np.ndarray:
         out[lo:hi] = np.frombuffer(chunk, dtype=np.uint8).reshape(hi - lo, n_bytes)
         reach[lo:hi] = [0] * (hi - lo)
     return out
-
-
-def _has_bits(packed: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """Bit ``ys[i]`` of packed row ``xs[i]``, for every i at once."""
-    return ((packed[xs, ys >> 3] >> (ys & 7).astype(np.uint8)) & 1).astype(bool)
 
 
 def _alive_edges(graph: SpannerGraph, removed: frozenset) -> np.ndarray:
@@ -344,34 +339,24 @@ def _price_exact(ps: PointSet, edges: np.ndarray, oracle, pairs, trusted):
     return lengths, exact
 
 
-def _check_pairs_exhaustive(packed: np.ndarray, targets: np.ndarray):
-    """Scan all target pairs; returns (pairs, exact, missing_pairs).
+def _check_pairs_exhaustive(reach: list, targets: list):
+    """Scan all target pairs on the bigint rows; returns (pairs, exact, missing_pairs).
 
-    Row ``x`` is counted only at targets strictly above ``x``, so the row's
-    own bit and anything below it never count. Missing pairs come in
-    descending ``x``, then ascending ``y``.
+    Targets are walked downwards, and row ``x`` is read only under the mask
+    of the targets above it, so its own bit and anything below never count.
+    Missing pairs come in descending ``x``, then ascending ``y``.
     """
-    t = len(targets)
-    n_bytes = packed.shape[1]
-    wanted = np.zeros(8 * n_bytes, dtype=bool)
-    wanted[targets] = True
-    target_mask = np.packbits(wanted, bitorder="little")
-    columns = np.arange(n_bytes)
-    exact = 0
+    exact = above = 0
     missing = []
-    step = max(1, _PACK_CHUNK_BYTES // (8 * n_bytes))
-    for stop in range(t, 0, -step):
-        xs = targets[max(0, stop - step) : stop][::-1]
-        byte = xs >> 3
-        above = np.where(columns > byte[:, None], target_mask, 0).astype(np.uint8)
-        above[np.arange(len(xs)), byte] = target_mask[byte] & (0xFE << (xs & 7)).astype(np.uint8)
-        rows = packed[xs]
-        exact += int(_POPCOUNT[rows & above].sum(dtype=np.int64))
-        gone = above & ~rows
-        if gone.any():
-            at, ys = np.nonzero(np.unpackbits(gone, axis=1, bitorder="little"))
-            missing.extend(zip(xs[at].tolist(), ys.tolist()))
-    return t * (t - 1) // 2, exact, missing
+    for x in reversed(targets):
+        exact += (reach[x] & above).bit_count()
+        gone = above & ~reach[x]
+        while gone:
+            low = gone & -gone
+            missing.append((x, low.bit_length() - 1))
+            gone ^= low
+        above |= 1 << x
+    return len(targets) * (len(targets) - 1) // 2, exact, missing
 
 
 def verify_robust_spanner(
@@ -389,14 +374,18 @@ def verify_robust_spanner(
     """Check that survivors outside the ignored set keep exact paths.
 
     All pairs are checked when n <= exhaustive_limit, otherwise
-    ``pair_sample`` seeded random pairs. The forward reach is packed into
-    one ``(n, ceil(n / 8))`` uint8 matrix, bit ``y`` of row ``x`` set when
-    an index-monotone alive path joins ``x`` to ``y > x``. Sampled pairs
-    stay index arrays and are looked up in it in one vectorised step; the
-    exhaustive check counts each row's bits above ``x`` at targets with a
-    popcount table. Only missing pairs become tuples. The strong variant
-    repacks the same matrix with the whole ignored set deleted; when the
-    closure adds nothing to the failures, it takes the first pass's verdict.
+    ``pair_sample`` seeded random pairs. Both samples, pairs and oracle
+    pairs, are drawn before the reach sweep, which draws nothing. The
+    exhaustive check scans the sweep's bigint rows, each under the mask of
+    the targets above its vertex. A sampled check packs the rows into one
+    ``(n, ceil(n / 8))`` uint8 matrix, bit ``y`` of row ``x`` set when an
+    index-monotone alive path joins ``x`` to ``y > x``, and looks its index
+    arrays up in one vectorised step. Only missing pairs become tuples, and
+    only the first 512 of them are priced: the rest are reported with a
+    null length, which the JSON report cannot tell apart from an
+    unreachable pair. The strong variant checks a fresh sweep with the
+    whole ignored set deleted; when the closure adds nothing to the
+    failures, it takes the first pass's verdict.
 
     ``oracle_sample`` pairs are additionally priced by the numeric oracle
     and must agree with the monotone criterion to within a 1e-12 relative
@@ -430,22 +419,29 @@ def verify_robust_spanner(
 
     alive = [v not in fs for v in range(n)]
     targets = np.array(sorted(set(range(n)) - f_star), dtype=np.int64)
-    packed = _pack_reach(_forward_reach(graph, alive), np.empty((n, (n + 7) // 8), np.uint8))
     rng = np.random.default_rng(seed)
 
     exhaustive = n <= exhaustive_limit
     xs = ys = np.empty(0, dtype=np.int64)
     if not exhaustive and len(targets) >= 2:
         xs, ys = _sample_pairs(rng, targets, pair_sample)
+    sample = []
+    if oracle_sample > 0 and len(targets) >= 2:
+        oxs, oys = _sample_pairs(rng, targets, min(oracle_sample, 4 * len(targets)))
+        sample = list(zip(oxs.tolist(), oys.tolist()))
 
-    def check(packed):
+    def check(reach):
         """(pairs, exact, missing) of the checked pairs; only missing ones become tuples."""
         if exhaustive:
-            return _check_pairs_exhaustive(packed, targets)
-        hit = _has_bits(packed, xs, ys)
+            return _check_pairs_exhaustive(reach, targets.tolist())
+        packed = _pack_reach(reach)
+        hit = ((packed[xs, ys >> 3] >> (ys & 7).astype(np.uint8)) & 1).astype(bool)
         return len(xs), int(hit.sum()), list(zip(xs[~hit].tolist(), ys[~hit].tolist()))
 
-    pairs_checked, exact_pairs, missing = check(packed)
+    reach = _forward_reach(graph, alive)
+    # read before the check, whose packing drops the rows
+    monotone = [bool((reach[x] >> y) & 1) for x, y in sample]
+    pairs_checked, exact_pairs, missing = check(reach)
 
     # one alive filter for the whole oracle; the full matrix only when used
     edges = _alive_edges(graph, fs) if missing or oracle_sample > 0 else None
@@ -456,12 +452,9 @@ def verify_robust_spanner(
 
     oracle_checked = 0
     oracle_mismatches = []
-    if oracle_sample > 0 and len(targets) >= 2:
-        oxs, oys = _sample_pairs(rng, targets, min(oracle_sample, 4 * len(targets)))
-        sample = list(zip(oxs.tolist(), oys.tolist()))
+    if sample:
         # a pair the reach denies is priced on the full graph even when its
         # forward path certifies, so every mismatch reports that length
-        monotone = _has_bits(packed, oxs, oys).tolist()
         lengths, exact = _price_exact(ps, edges, oracle, sample, monotone)
         oracle_checked = len(sample)
         oracle_mismatches = [
@@ -482,17 +475,17 @@ def verify_robust_spanner(
             # an exact path never backtracks, so in exact arithmetic its length is the gap
             ratios = np.array(lengths) / np.abs(ps.coords[iys] - ps.coords[ixs])
             max_stretch = float(np.where(exact, 1.0, ratios).max())
-    # drop the alive edges and the full matrix before the second reach pass
-    del edges, oracle
+    # drop the first pass's rows, the alive edges and the full matrix
+    # before the second reach pass
+    del reach, edges, oracle
 
     strong_ok = None
     if strong_check:
         # when the closure adds nothing, the second pass would repeat the first
         pairs2, exact2 = pairs_checked, exact_pairs
         if f_star != fs:
-            # the second pass overwrites the first's matrix, no longer needed
             alive2 = [v not in f_star for v in range(n)]
-            pairs2, exact2, _ = check(_pack_reach(_forward_reach(graph, alive2), packed))
+            pairs2, exact2, _ = check(_forward_reach(graph, alive2))
         strong_ok = exact2 == pairs2
 
     return VerificationReport(

@@ -160,6 +160,17 @@ def test_closure_stats_huge_size_exits_2():
     assert "error:" in done.stderr
 
 
+def test_huge_depth_finishes_in_time():
+    """Neither growth check raises 6 to the full depth."""
+    done = run_capped("verify", "--n", "16", "--ell", "30000000", "--random-k", "1")
+    assert done.returncode == 0, done.stderr
+    assert "bound_ok=True" in done.stdout
+    # 6**ell overflows a float here, which closure-stats reports at once
+    done = run_capped("closure-stats", "--n", "16", "--ell", "30000000", "--k", "1")
+    assert done.returncode == 2, done.stderr
+    assert "error:" in done.stderr
+
+
 def test_closure_stats_size_past_int64_exits_2(monkeypatch, capsys):
     # the failure draw overflows before compute_closure allocates n bytes
     def no_closure(*args):

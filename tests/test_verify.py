@@ -535,22 +535,19 @@ def loop_sample_pairs(rng, pool, count):
     return pairs
 
 
-def bigint_check_pairs_exhaustive(reach, targets):
-    """The bigint exhaustive scan the packed count replaced, kept as its reference."""
-    pairs = exact = mask_above = 0
+def pairwise_check_pairs_exhaustive(reach, targets):
+    """Each target pair's own bit; missing pairs in descending ``x``, then ascending ``y``."""
+    pairs = exact = 0
     missing = []
-    for x in reversed(targets):
-        pairs += mask_above.bit_count()
-        exact += (reach[x] & mask_above).bit_count()
-        gone = mask_above & ~reach[x]
-        missing.extend((x, y) for y in range(x + 1, gone.bit_length()) if (gone >> y) & 1)
-        mask_above |= 1 << x
+    for i in reversed(range(len(targets))):
+        x = targets[i]
+        for y in targets[i + 1 :]:
+            pairs += 1
+            if (reach[x] >> y) & 1:
+                exact += 1
+            else:
+                missing.append((x, y))
     return pairs, exact, missing
-
-
-def packed(reach, n):
-    """``reach`` packed as ``n``-bit rows, leaving the list itself intact."""
-    return _pack_reach(list(reach), np.empty((len(reach), (n + 7) // 8), np.uint8))
 
 
 @settings(max_examples=60, deadline=None)
@@ -573,11 +570,11 @@ def test_sample_pairs_matches_loop_reference(t, count, seed):
 
 
 def test_pack_reach_is_little_endian():
-    reach = [0b1011, 1 << 9, 0, (1 << 10) - 1, 1 << 7]
-    rows = packed(reach, 10)
-    assert rows.shape == (5, 2)
-    assert rows[:, 0].tolist() == [0b1011, 0, 0, 0xFF, 0x80]
-    assert rows[:, 1].tolist() == [0, 0b10, 0, 0b11, 0]
+    reach = [0b1011, 1 << 9, 0, (1 << 10) - 1, 1 << 7] + [0] * 5
+    rows = _pack_reach(list(reach))
+    assert rows.shape == (10, 2)
+    assert rows[:5, 0].tolist() == [0b1011, 0, 0, 0xFF, 0x80]
+    assert rows[:5, 1].tolist() == [0, 0b10, 0, 0b11, 0]
     bits = np.unpackbits(rows, axis=1, bitorder="little")[:, :10]
     assert [sum(1 << y for y in np.flatnonzero(row)) for row in bits] == reach
 
@@ -585,7 +582,8 @@ def test_pack_reach_is_little_endian():
 def test_pack_reach_chunks_release_rows(monkeypatch):
     monkeypatch.setattr(verify, "_PACK_CHUNK_BYTES", 3)
     reach = [(1 << y) | 1 for y in range(20)]
-    rows = _pack_reach(reach, np.empty((20, 3), np.uint8))
+    rows = _pack_reach(reach)
+    assert rows.shape == (20, 3)
     assert reach == [0] * 20
     for y in range(20):
         assert rows[y, y >> 3] >> (y & 7) & 1 and rows[y, 0] & 1
@@ -602,7 +600,7 @@ def test_pack_reach_chunks_release_rows(monkeypatch):
 @example(n=77, ell=2, drop=0.57, seed=1, flips="all")
 @example(n=9, ell=1, drop=0.5, seed=2, flips="some")
 def test_exhaustive_count_matches_bigint_reference(n, ell, drop, seed, flips):
-    """Counts and missing pairs, in order, agree with the bigint scan.
+    """Counts and missing pairs, in order, agree with a per-pair bit test.
 
     Edges are dropped so pairs go missing, and reach rows may be inverted,
     which sets bits below each row's own vertex and clears its own bit.
@@ -618,15 +616,14 @@ def test_exhaustive_count_matches_bigint_reference(n, ell, drop, seed, flips):
     rows = {"none": [], "some": rng.choice(n, size=min(n, 3), replace=False).tolist(),
             "all": range(n)}[flips]
     reach = flipped_reach(rows)(g, [v not in fs for v in range(n)])
-    want = bigint_check_pairs_exhaustive(reach, targets)
-    got = _check_pairs_exhaustive(packed(reach, n), np.array(targets, dtype=np.int64))
-    assert got == want
+    want = pairwise_check_pairs_exhaustive(reach, targets)
+    assert _check_pairs_exhaustive(reach, targets) == want
 
 
 def test_exhaustive_missing_pairs_order():
     # three isolated vertices: every pair is missing
     reach = [1, 2, 4, 8]
-    pairs, exact, missing = _check_pairs_exhaustive(packed(reach, 4), np.arange(4))
+    pairs, exact, missing = _check_pairs_exhaustive(reach, [0, 1, 2, 3])
     assert (pairs, exact) == (6, 0)
     assert missing == [(2, 3), (1, 2), (1, 3), (0, 1), (0, 2), (0, 3)]
 
@@ -636,7 +633,7 @@ def strong_reference(g, f_star, exhaustive, seed, pair_sample):
     targets = [v for v in range(g.n) if v not in f_star]
     reach2 = _forward_reach(g, [v not in f_star for v in range(g.n)])
     if exhaustive:
-        return not bigint_check_pairs_exhaustive(reach2, targets)[2]
+        return not pairwise_check_pairs_exhaustive(reach2, targets)[2]
     pairs = loop_sample_pairs(np.random.default_rng(seed), targets, pair_sample)
     return all((reach2[x] >> y) & 1 for x, y in pairs)
 
@@ -667,15 +664,22 @@ def test_strong_pass_sweeps_only_when_the_closure_grows(instance, cut, fs, exhau
     fs = frozenset(fs)
     f_star = sp.compute_closure(scheme, fs).f_star
     kwargs = dict(exhaustive_limit=exhaustive_limit, pair_sample=2000, seed=1)
-    calls = []
+    calls, packs = [], []
 
     def counted(graph, alive):
         calls.append(alive)
         return _forward_reach(graph, alive)
 
-    with mock.patch.object(verify, "_forward_reach", counted):
+    def counted_pack(reach):
+        packs.append(len(reach))
+        return _pack_reach(reach)
+
+    with mock.patch.object(verify, "_forward_reach", counted), \
+            mock.patch.object(verify, "_pack_reach", counted_pack):
         rep = sp.verify_robust_spanner(g, ps, scheme, fs, **kwargs)
     assert len(calls) == (1 if f_star == fs else 2)
+    # only a sampled check packs the rows, once per sweep
+    assert len(packs) == (0 if exhaustive_limit else len(calls))
     want = strong_reference(g, f_star, exhaustive_limit > 0, 1, 2000)
     base = sp.verify_robust_spanner(g, ps, scheme, fs, strong_check=False, **kwargs)
     assert rep.to_json() == dataclasses.replace(base, strong_variant_ok=want).to_json()
