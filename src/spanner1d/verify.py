@@ -8,11 +8,17 @@ surviving pair outside the ignored set must be joined by an
 index-monotone path. A weighted shortest-path oracle (independent
 numeric route) cross-checks sampled pairs and prices violations.
 
-The reach is one bigint sweep from the top vertex down, each row the OR
-of its alive higher neighbours' rows. A neighbour inside the run of
-vertices that an already OR-ed row covers is skipped: it is in that row,
-so everything it reaches is too. The exhaustive check and the oracle read
-these rows as they are; only a sampled check packs them into a byte matrix.
+Monotone reach is transitive, so every target pair is joined exactly
+when each target reaches the next one. These links are checked first,
+in ``O(n + E)``: most by a direct edge, the rest by a forward search
+confined to the range between the two targets. When every link holds,
+every target pair is exact and no sweep runs. Only when a link breaks
+does the reach sweep run, to name the missing pairs: one bigint
+sweep from the top vertex down, each row the OR of its alive higher
+neighbours' rows. A neighbour inside the run of vertices that an already
+OR-ed row covers is skipped: it is in that row, so everything it reaches
+is too. The exhaustive check and the oracle read these rows as they are;
+only a sampled check packs them into a byte matrix.
 
 The oracle certifies exactness on a directed copy of the alive edges,
 each pointing from its smaller to its larger coordinate, before any
@@ -24,8 +30,8 @@ graph, whose matrix is built only when some pair needs it. Sampled pairs
 and ignored-set stretch pairs are priced this one way, and a stretch
 pair that passes the oracle's tolerance test has stretch exactly 1. The
 copy is built from the edge array and the coordinates alone, never from
-the bitset reach or from index order, so the oracle stays independent
-of the combinatorial criterion.
+the links, the bitset reach or index order, so the oracle stays
+independent of the combinatorial criterion.
 """
 
 from __future__ import annotations
@@ -50,6 +56,36 @@ ORACLE_RELATIVE_TOLERANCE = 1e-12
 
 class TooLarge(ValueError):
     """The brute-force oracle refuses instances past its size guard."""
+
+
+def _broken_links(graph: SpannerGraph, alive, targets: np.ndarray) -> list:
+    """The links ``(t_i, t_{i+1})`` of the ascending ``targets`` that no monotone alive path joins.
+
+    Monotone reach is transitive, so every pair of targets is joined
+    exactly when every link is. A link with a direct edge holds: its key
+    ``t_i * n + t_{i+1}`` is found among the sorted edge keys. Any other
+    link is searched forward inside ``[t_i, t_{i+1}]``, the only vertices a
+    monotone path for it visits: the edges whose tail lies there are read
+    in order, and each marks its head when its tail is marked and the head
+    is alive and not past ``t_{i+1}``. The ranges are disjoint, so one mark
+    array serves every link, and no vertex or edge is read twice.
+    """
+    n, edges, indptr = graph.n, graph.edges, graph.indptr
+    lo, hi = targets[:-1], targets[1:]
+    keys = edges[:, 0] * n + edges[:, 1]
+    want = lo * n + hi
+    direct = np.searchsorted(keys, want, side="right") > np.searchsorted(keys, want)
+    marked = bytearray(n)
+    broken = []
+    for x, y in zip(lo[~direct].tolist(), hi[~direct].tolist()):
+        marked[x] = 1
+        a, b = indptr[x], indptr[y]
+        for u, w in zip(edges[a:b, 0].tolist(), edges[a:b, 1].tolist()):
+            if marked[u] and w <= y and alive[w]:
+                marked[w] = 1
+        if not marked[y]:
+            broken.append((x, y))
+    return broken
 
 
 def _forward_reach(graph: SpannerGraph, alive) -> list:
@@ -267,21 +303,21 @@ def _price_pairs(mat, pairs):
     return [float(rows[index[u]][v]) for u, v in pairs]
 
 
-def _price_forward(ps: PointSet, edges: np.ndarray, pairs):
-    """Length of one path per pair on the alive ``edges`` that never backtracks, or inf.
+def _price_forward(ps: PointSet, forward, pairs):
+    """Length of one path per pair on the ``_forward_rows`` copy that never backtracks, or inf.
 
-    Each pair is searched depth first on ``_forward_rows``, from its
-    endpoint with the smaller coordinate, trying the head with the largest
+    Each pair is searched depth first on ``forward``, from its endpoint
+    with the smaller coordinate, trying the head with the largest
     coordinate not past the other endpoint first and never passing it.
     Every such path has the gap as its length, up to rounding, so any one
     will do; the length is summed along it in path order. All pairs share
     one budget of edge examinations, the number of alive edges: a pair
     still searching when it runs out reads inf, as does every later one.
     """
-    indptr, heads = _forward_rows(ps, edges)
+    indptr, heads = forward
     c = ps.coords.tolist()
     rows = [None] * len(c)  # a row becomes a list when first entered
-    budget = len(edges)
+    budget = len(heads)
 
     def below(v, top):
         """v's heads not past ``top``, largest coordinate first."""
@@ -320,16 +356,17 @@ def _within_tolerance(found: float, want: float) -> bool:
     return math.isfinite(found) and abs(found - want) <= ORACLE_RELATIVE_TOLERANCE * want
 
 
-def _price_exact(ps: PointSet, edges: np.ndarray, oracle, pairs, trusted):
+def _price_exact(ps: PointSet, forward, oracle, pairs, trusted):
     """Each pair's length, and whether it passes the oracle's exactness test.
 
-    Pairs are priced on the forward copy first. A pair that fails the
-    tolerance test there, or that ``trusted`` leaves False, is priced again
-    on the full alive graph ``oracle()`` without a bound, in one call.
+    Pairs are priced on the forward copy ``forward`` first. A pair that
+    fails the tolerance test there, or that ``trusted`` leaves False, is
+    priced again on the full alive graph ``oracle()`` without a bound, in
+    one call.
     """
     c = ps.coords.tolist()
     wants = [abs(c[y] - c[x]) for x, y in pairs]
-    lengths = _price_forward(ps, edges, pairs)
+    lengths = _price_forward(ps, forward, pairs)
     exact = [_within_tolerance(d, want) for d, want in zip(lengths, wants)]
     full = [i for i, (ok, trust) in enumerate(zip(exact, trusted)) if not (ok and trust)]
     if full:
@@ -375,7 +412,10 @@ def verify_robust_spanner(
 
     All pairs are checked when n <= exhaustive_limit, otherwise
     ``pair_sample`` seeded random pairs. Both samples, pairs and oracle
-    pairs, are drawn before the reach sweep, which draws nothing. The
+    pairs, are drawn first. The links between consecutive targets are
+    checked next: when all hold, every checked pair is exact, every
+    oracle pair is monotone, and no reach sweep runs. Only when a link
+    breaks does the sweep run, drawing nothing. The
     exhaustive check scans the sweep's bigint rows, each under the mask of
     the targets above its vertex. A sampled check packs the rows into one
     ``(n, ceil(n / 8))`` uint8 matrix, bit ``y`` of row ``x`` set when an
@@ -383,9 +423,12 @@ def verify_robust_spanner(
     arrays up in one vectorised step. Only missing pairs become tuples, and
     only the first 512 of them are priced: the rest are reported with a
     null length, which the JSON report cannot tell apart from an
-    unreachable pair. The strong variant checks a fresh sweep with the
-    whole ignored set deleted; when the closure adds nothing to the
-    failures, it takes the first pass's verdict.
+    unreachable pair. The strong variant deletes the whole ignored set and
+    checks the links again: it holds when they all hold, and an
+    exhaustive check fails on a broken one. Only a sampled check with a
+    broken link sweeps, since its sample may miss the pairs the link cuts.
+    When the closure adds nothing to the failures, the strong variant
+    takes the first pass's verdict.
 
     ``oracle_sample`` pairs are additionally priced by the numeric oracle
     and must agree with the monotone criterion to within a 1e-12 relative
@@ -394,14 +437,16 @@ def verify_robust_spanner(
     never past its right one; a forward path within tolerance certifies it.
     The searches share a budget of one edge examination per alive edge.
     The copy comes from the edge array and the coordinates, not from the
-    reach, so the two checks stay independent. Uncertified pairs, and
-    certified pairs the reach denies, are priced on the full alive graph
-    without a bound, so every mismatch reports its full-graph length.
+    links or the reach, so the two checks stay independent. Uncertified
+    pairs, and certified pairs the reach denies, are priced on the full
+    alive graph without a bound, so every mismatch reports its full-graph
+    length.
     Ignored-set stretch pairs are priced the same way: a pair that passes
     the tolerance test has stretch exactly 1, any other its full-graph
     length over its gap. Violations are priced without a bound. The alive
-    edges are filtered once, and the full graph's matrix is built only
-    when a violation or an uncertified or denied pair needs it.
+    edges are filtered and pointed up the line once, and the full graph's
+    matrix is built only when a violation or an uncertified or denied pair
+    needs it.
     """
     if not (graph.n == ps.n == scheme.n):
         raise SchemeMismatch(
@@ -438,13 +483,22 @@ def verify_robust_spanner(
         hit = ((packed[xs, ys >> 3] >> (ys & 7).astype(np.uint8)) & 1).astype(bool)
         return len(xs), int(hit.sum()), list(zip(xs[~hit].tolist(), ys[~hit].tolist()))
 
-    reach = _forward_reach(graph, alive)
-    # read before the check, whose packing drops the rows
-    monotone = [bool((reach[x] >> y) & 1) for x, y in sample]
-    pairs_checked, exact_pairs, missing = check(reach)
+    if _broken_links(graph, alive, targets):
+        reach = _forward_reach(graph, alive)
+        # read before the check, whose packing drops the rows
+        monotone = [bool((reach[x] >> y) & 1) for x, y in sample]
+        pairs_checked, exact_pairs, missing = check(reach)
+        del reach
+    else:
+        # every link holds, so every pair of targets is joined
+        monotone = [True] * len(sample)
+        pairs_checked = len(targets) * (len(targets) - 1) // 2 if exhaustive else len(xs)
+        exact_pairs, missing = pairs_checked, []
 
-    # one alive filter for the whole oracle; the full matrix only when used
+    # one alive filter and one forward copy for the whole oracle; the full
+    # matrix only when used
     edges = _alive_edges(graph, fs) if missing or oracle_sample > 0 else None
+    forward = functools.cache(lambda: _forward_rows(ps, edges))
     oracle = functools.cache(lambda: _oracle_csr(ps, edges))
     priced = _price_pairs(oracle(), missing[:512]) if missing else []
     violations = [(x, y, None if math.isinf(d) else d) for (x, y), d in zip(missing, priced)]
@@ -455,7 +509,7 @@ def verify_robust_spanner(
     if sample:
         # a pair the reach denies is priced on the full graph even when its
         # forward path certifies, so every mismatch reports that length
-        lengths, exact = _price_exact(ps, edges, oracle, sample, monotone)
+        lengths, exact = _price_exact(ps, forward(), oracle, sample, monotone)
         oracle_checked = len(sample)
         oracle_mismatches = [
             (x, y, d) for (x, y), d, mono, ok in zip(sample, lengths, monotone, exact) if mono != ok
@@ -471,22 +525,25 @@ def verify_robust_spanner(
         ixs, iys = ixs[ixs != iys], iys[ixs != iys]
         if len(ixs):
             pairs = list(zip(ixs.tolist(), iys.tolist()))
-            lengths, exact = _price_exact(ps, edges, oracle, pairs, [True] * len(pairs))
+            lengths, exact = _price_exact(ps, forward(), oracle, pairs, [True] * len(pairs))
             # an exact path never backtracks, so in exact arithmetic its length is the gap
             ratios = np.array(lengths) / np.abs(ps.coords[iys] - ps.coords[ixs])
             max_stretch = float(np.where(exact, 1.0, ratios).max())
-    # drop the first pass's rows, the alive edges and the full matrix
-    # before the second reach pass
-    del reach, edges, oracle
+    # drop the alive edges, the forward copy and the full matrix before the
+    # second pass
+    del edges, forward, oracle
 
     strong_ok = None
     if strong_check:
         # when the closure adds nothing, the second pass would repeat the first
-        pairs2, exact2 = pairs_checked, exact_pairs
+        strong_ok = exact_pairs == pairs_checked
         if f_star != fs:
             alive2 = [v not in f_star for v in range(n)]
-            pairs2, exact2, _ = check(_forward_reach(graph, alive2))
-        strong_ok = exact2 == pairs2
+            # a broken link fails some target pair, and only a sample can miss it
+            strong_ok = not _broken_links(graph, alive2, targets)
+            if not strong_ok and not exhaustive:
+                pairs2, exact2, _ = check(_forward_reach(graph, alive2))
+                strong_ok = exact2 == pairs2
 
     return VerificationReport(
         n=n,

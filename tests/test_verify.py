@@ -15,6 +15,7 @@ from reference_simple import monotone_reach_up
 from spanner1d import verify
 from spanner1d.verify import (
     ORACLE_RELATIVE_TOLERANCE,
+    _broken_links,
     _check_pairs_exhaustive,
     _forward_reach,
     _pack_reach,
@@ -264,15 +265,27 @@ def test_oracle_mismatch_reports_detour_length(monkeypatch):
     assert set(rep.oracle_mismatches) == {(0, 1, detour), (0, 2, 5.0)}
 
 
+def a_broken_link(graph, alive, targets):
+    """``_broken_links`` reporting the first link broken, so the verify reads the reach rows."""
+    return [tuple(targets[:2].tolist())]
+
+
 def test_oracle_mismatch_on_exact_pair_reports_gap(monkeypatch):
     g, ps = path_graph()
+    # every link is an edge, so without the planted break no row is read
+    monkeypatch.setattr(verify, "_broken_links", a_broken_link)
     monkeypatch.setattr(verify, "_forward_reach", flipped_reach([0]))
     rep = sp.verify_robust_spanner(g, ps, sp.build_scheme(3, 1), frozenset(), seed=1)
     assert set(rep.oracle_mismatches) == {(0, 1, 1.0), (0, 2, 5.0)}
     assert not rep.passed
 
 
-def never_certify(ps, edges, pairs):
+def price_forward(ps, edges, pairs):
+    """``_price_forward`` on the forward copy of ``edges``."""
+    return verify._price_forward(ps, verify._forward_rows(ps, edges), pairs)
+
+
+def never_certify(ps, forward, pairs):
     """``_price_forward`` with no forward path found, so every pair takes the full search."""
     return [math.inf] * len(pairs)
 
@@ -303,13 +316,15 @@ def test_forward_certificates_match_full_search_property(
     Instances have dropped edges, random failures and inverted reach rows,
     so that mismatches of both kinds reach the report. The reference run certifies nothing,
     so every sampled pair goes through the search on the full alive graph.
+    A link is reported broken in both runs, so that the inverted rows are read.
     """
     ps, scheme, g, fs, rng = dropped_instance(n, ell, model, drop, seed)
     rows = range(n) if flip_all else rng.choice(n, size=3, replace=False).tolist()
     kwargs = dict(
         exhaustive_limit=exhaustive_limit, pair_sample=300, oracle_sample=oracle_sample, seed=seed
     )
-    with mock.patch.object(verify, "_forward_reach", flipped_reach(rows)):
+    with mock.patch.object(verify, "_broken_links", a_broken_link), \
+            mock.patch.object(verify, "_forward_reach", flipped_reach(rows)):
         certified = sp.verify_robust_spanner(g, ps, scheme, fs, **kwargs)
         with mock.patch.object(verify, "_price_forward", never_certify):
             full = sp.verify_robust_spanner(g, ps, scheme, fs, **kwargs)
@@ -375,10 +390,10 @@ def test_path_search_certifies_the_dijkstra_pairs_property(n, ell, model, drop, 
     # either endpoint may come first
     pairs = [(x, y) if i % 2 else (y, x) for i, (x, y) in enumerate(zip(xs.tolist(), ys.tolist()))]
     edges = verify._alive_edges(g, fs)
-    alone = [verify._price_forward(ps, edges, [p])[0] for p in pairs]
+    alone = [price_forward(ps, edges, [p])[0] for p in pairs]
     want = dijkstra_price_forward(g, ps, fs, pairs)
     assert certified(ps, pairs, alone) == certified(ps, pairs, want)
-    batch = verify._price_forward(ps, edges, pairs)
+    batch = price_forward(ps, edges, pairs)
     cut = next((i for i, (a, b) in enumerate(zip(batch, alone)) if a != b), len(pairs))
     assert all(math.isinf(d) for d in batch[cut:])
 
@@ -388,8 +403,8 @@ def test_path_search_backs_out_of_a_dead_end():
     # no edge up the line; it backs out and goes through 1
     ps = sp.make_point_set([0.0, 1.0, 2.0, 3.0])
     g = sp.SpannerGraph(4, [(0, 1), (0, 2), (1, 3)])
-    assert verify._price_forward(ps, g.edges, [(3, 0)]) == [3.0]
-    assert verify._price_forward(ps, g.edges, [(2, 3)]) == [math.inf]
+    assert price_forward(ps, g.edges, [(3, 0)]) == [3.0]
+    assert price_forward(ps, g.edges, [(2, 3)]) == [math.inf]
 
 
 def half_clique(n):
@@ -412,11 +427,11 @@ def test_half_clique_cross_pairs_read_inf():
     g = half_clique(n)
     inside = [(160, 290), (3, 140)]
     cross = [(x, y) for x in range(0, 150, 7) for y in range(150, 300, 11)]
-    lengths = verify._price_forward(ps, g.edges, inside + cross)
+    lengths = price_forward(ps, g.edges, inside + cross)
     assert certified(ps, inside, lengths[:2]) == [True, True]
     assert all(math.isinf(d) for d in lengths[2:])
     spent = [(0, 150), (1, 151), (160, 290)]
-    assert verify._price_forward(ps, g.edges, spent) == [math.inf] * 3
+    assert price_forward(ps, g.edges, spent) == [math.inf] * 3
     scheme = sp.build_scheme(n, 1)
     fs = sp.random_failures(n, 15, 1)
     rep = sp.verify_robust_spanner(g, ps, scheme, fs, seed=2)
@@ -431,7 +446,7 @@ def test_detour_within_tolerance_reaches_the_full_search():
     # has no path, but the detour passes the oracle's 1e-12 test
     ps = sp.make_point_set([0.0, 1.0, 1.0 + 1e-14])
     g = sp.SpannerGraph(3, [(0, 2), (1, 2)])
-    assert verify._price_forward(ps, g.edges, [(0, 1)]) == [math.inf]
+    assert price_forward(ps, g.edges, [(0, 1)]) == [math.inf]
     detour = sp.brute_force_oracle(g, ps, frozenset())[(0, 1)]
     assert 1.0 < detour <= 1.0 + ORACLE_RELATIVE_TOLERANCE
     rep = sp.verify_robust_spanner(g, ps, sp.build_scheme(3, 1), frozenset(), seed=1)
@@ -444,17 +459,19 @@ def test_flipped_exact_pair_reports_full_graph_length(monkeypatch):
     # the detour through vertex 0, just left of 1, sums to exactly 3
     ps = sp.make_point_set([-1e-20, 0.0, 0.7, 2.9, 3.0])
     g = sp.SpannerGraph(5, [(1, 2), (2, 3), (3, 4), (0, 1), (0, 4)])
-    price_forward = verify._price_forward
     assert price_forward(ps, g.edges, [(1, 4)]) == [3.0000000000000004]
     exact = sp.brute_force_oracle(g, ps, frozenset())
     assert exact[(1, 4)] == 3.0
     forward = []
+    unspied = verify._price_forward
 
-    def spy(ps, edges, pairs):
-        lengths = price_forward(ps, edges, pairs)
+    def spy(ps, rows, pairs):
+        lengths = unspied(ps, rows, pairs)
         forward.extend(zip(pairs, lengths))
         return lengths
 
+    # every link is an edge, so without the planted break no row is read
+    monkeypatch.setattr(verify, "_broken_links", a_broken_link)
     monkeypatch.setattr(verify, "_forward_reach", flipped_reach([1]))
     monkeypatch.setattr(verify, "_price_forward", spy)
     rep = sp.verify_robust_spanner(g, ps, sp.build_scheme(5, 1), frozenset(), seed=0)
@@ -477,13 +494,30 @@ def test_certified_stretch_pairs_take_no_full_search(instance):
     assert rep.max_stretch_over_ignored == 1.0
 
 
+def test_forward_copy_is_built_once_per_verify(instance):
+    """The oracle sample and the ignored-set stretch price on one forward copy."""
+    ps, scheme, g = instance(100, 2)
+    fs = sp.random_failures(100, 5, 1)
+    built = []
+    forward_rows = verify._forward_rows
+
+    def counted(ps, edges):
+        built.append(len(edges))
+        return forward_rows(ps, edges)
+
+    with mock.patch.object(verify, "_forward_rows", counted):
+        rep = sp.verify_robust_spanner(g, ps, scheme, fs, seed=1)
+    assert rep.oracle_checked > 0 and rep.max_stretch_over_ignored == 1.0
+    assert len(built) == 1
+
+
 def test_backtracking_stretch_is_full_graph_length_over_gap():
     # every vertex but 5, 6 and 9 fails, so all three survivors are ignored;
     # 5 reaches 6 only through 9, past 6 and back
     ps = sp.make_point_set(np.arange(16.0))
     g = sp.SpannerGraph(16, [(5, 9), (6, 9)])
     fs = frozenset(range(16)) - {5, 6, 9}
-    assert verify._price_forward(ps, g.edges, [(5, 6)]) == [math.inf]
+    assert price_forward(ps, g.edges, [(5, 6)]) == [math.inf]
     rep = sp.verify_robust_spanner(g, ps, sp.build_scheme(16, 1), fs, seed=1)
     assert rep.f_star_size == 16
     detour = sp.brute_force_oracle(g, ps, fs)[(5, 6)]
@@ -508,7 +542,7 @@ def test_forward_step_certifies_exactly_the_monotone_pairs(n, ell, model):
     alive = [v for v in range(n) if v not in fs]
     pairs = [tuple(sorted(p)) for p in rng.choice(alive, size=(400, 2)).tolist() if p[0] != p[1]]
     reach = _forward_reach(g, [v not in fs for v in range(n)])
-    lengths = verify._price_forward(ps, verify._alive_edges(g, fs), pairs)
+    lengths = price_forward(ps, verify._alive_edges(g, fs), pairs)
     certified = [
         verify._within_tolerance(d, ps.coords[y] - ps.coords[x])
         for (x, y), d in zip(pairs, lengths)
@@ -628,12 +662,18 @@ def test_exhaustive_missing_pairs_order():
     assert missing == [(2, 3), (1, 2), (1, 3), (0, 1), (0, 2), (0, 3)]
 
 
+def all_joined(g, removed, targets):
+    """Whether a fresh reach joins every pair of ``targets`` with ``removed`` deleted."""
+    reach = _forward_reach(g, [v not in removed for v in range(g.n)])
+    return not pairwise_check_pairs_exhaustive(reach, targets)[2]
+
+
 def strong_reference(g, f_star, exhaustive, seed, pair_sample):
     """The strong verdict from a fresh reach with the whole ignored set deleted."""
     targets = [v for v in range(g.n) if v not in f_star]
-    reach2 = _forward_reach(g, [v not in f_star for v in range(g.n)])
     if exhaustive:
-        return not pairwise_check_pairs_exhaustive(reach2, targets)[2]
+        return all_joined(g, f_star, targets)
+    reach2 = _forward_reach(g, [v not in f_star for v in range(g.n)])
     pairs = loop_sample_pairs(np.random.default_rng(seed), targets, pair_sample)
     return all((reach2[x] >> y) & 1 for x, y in pairs)
 
@@ -656,15 +696,24 @@ def test_strong_variant_reads_its_own_pass(instance, exhaustive_limit):
 @pytest.mark.parametrize("fs", [(), (3,), (8, 9, 30), (24, 25, 55)])
 @pytest.mark.parametrize("cut", [False, True])
 def test_strong_pass_sweeps_only_when_the_closure_grows(instance, cut, fs, exhaustive_limit):
-    """When ``F* == F`` the first pass's verdict is the strong one, with no second sweep."""
+    """A pass sweeps only when one of its links breaks, and an exhaustive strong pass never does.
+
+    When ``F* == F`` the first pass's verdict is the strong one, with no
+    second look at the links.
+    """
     ps, scheme, g = instance(64, 1)
     if cut:
         # the edge is the only path between consecutive vertices, so pairs go missing
         g = sp.SpannerGraph(64, [e for e in g.edge_set if e != (10, 11)])
     fs = frozenset(fs)
     f_star = sp.compute_closure(scheme, fs).f_star
+    targets = [v for v in range(64) if v not in f_star]
     kwargs = dict(exhaustive_limit=exhaustive_limit, pair_sample=2000, seed=1)
-    calls, packs = [], []
+    links, calls, packs = [], [], []
+
+    def counted_links(graph, alive, targets):
+        links.append(alive)
+        return _broken_links(graph, alive, targets)
 
     def counted(graph, alive):
         calls.append(alive)
@@ -674,15 +723,105 @@ def test_strong_pass_sweeps_only_when_the_closure_grows(instance, cut, fs, exhau
         packs.append(len(reach))
         return _pack_reach(reach)
 
-    with mock.patch.object(verify, "_forward_reach", counted), \
+    with mock.patch.object(verify, "_broken_links", counted_links), \
+            mock.patch.object(verify, "_forward_reach", counted), \
             mock.patch.object(verify, "_pack_reach", counted_pack):
         rep = sp.verify_robust_spanner(g, ps, scheme, fs, **kwargs)
-    assert len(calls) == (1 if f_star == fs else 2)
+    alive, alive2 = ([v not in r for v in range(64)] for r in (fs, f_star))
+    assert links == ([alive] if f_star == fs else [alive, alive2])
+    sweeps = [] if all_joined(g, fs, targets) else [alive]
+    if f_star != fs and exhaustive_limit == 0 and not all_joined(g, f_star, targets):
+        sweeps.append(alive2)
+    assert calls == sweeps
+    if not cut:
+        # an intact spanner's first pass holds on its links alone
+        assert alive not in calls
     # only a sampled check packs the rows, once per sweep
     assert len(packs) == (0 if exhaustive_limit else len(calls))
     want = strong_reference(g, f_star, exhaustive_limit > 0, 1, 2000)
     base = sp.verify_robust_spanner(g, ps, scheme, fs, strong_check=False, **kwargs)
     assert rep.to_json() == dataclasses.replace(base, strong_variant_ok=want).to_json()
+
+
+def refuse_sweep(*args):
+    raise AssertionError("no sweep should run")
+
+
+@pytest.mark.parametrize(
+    "n, k, seed, exhaustive_limit, grows, strong",
+    [
+        (1024, 51, 0, 512, False, True),
+        (216, 10, 2, 512, True, True),
+        (216, 10, 2, 0, True, True),
+        (216, 10, 3, 512, True, False),
+    ],
+)
+def test_intact_spanner_is_decided_by_its_links(
+    instance, n, k, seed, exhaustive_limit, grows, strong
+):
+    """Every first-pass link of an intact spanner holds: no sweep, no packing, no reach lists.
+
+    At n = 1024 the closure adds nothing, so the strong pass takes the first
+    pass's verdict. At n = 216 it grows, and the strong pass reads its
+    verdict off its links, both when they hold and, exhaustively, when one
+    breaks.
+    """
+    ps, scheme, g = instance(n, 2)
+    g = sp.SpannerGraph(n, g.edges)  # a fresh graph, with no reach lists built
+    fs = sp.random_failures(n, k, seed)
+    f_star = sp.compute_closure(scheme, fs).f_star
+    assert (f_star != fs) is grows
+    with mock.patch.object(verify, "_forward_reach", refuse_sweep), \
+            mock.patch.object(verify, "_pack_reach", refuse_sweep):
+        rep = sp.verify_robust_spanner(
+            g, ps, scheme, fs, exhaustive_limit=exhaustive_limit, seed=1
+        )
+    assert "higher_neighbors" not in vars(g)
+    assert rep.passed and rep.exact_pairs == rep.pairs_checked > 0
+    assert rep.oracle_checked == 500 and rep.oracle_mismatches == ()
+    exhaustive = n <= exhaustive_limit
+    assert rep.strong_variant_ok is strong is strong_reference(g, f_star, exhaustive, 1, 20_000)
+
+
+def test_broken_links_stay_inside_their_range():
+    # 0 reaches 3 through 1, past the link (0, 2), so a search that ran past 2
+    # would hand 3 on to the next link and join 2 to 4
+    g = sp.SpannerGraph(5, [(0, 1), (1, 3), (3, 4)])
+    targets = np.array([0, 2, 4])
+    assert _broken_links(g, [True] * 5, targets) == [(0, 2), (2, 4)]
+    # the only path from 0 to 2 runs through a dead vertex
+    g = sp.SpannerGraph(3, [(0, 1), (1, 2)])
+    assert _broken_links(g, [True, False, True], np.array([0, 2])) == [(0, 2)]
+    assert _broken_links(g, [True] * 3, np.array([0, 2])) == []
+    assert _broken_links(g, [True] * 3, np.array([1])) == []
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    n=st.integers(min_value=8, max_value=400),
+    ell=st.integers(min_value=1, max_value=3),
+    model=st.sampled_from(["uniform", "clustered", "expgaps"]),
+    drop=st.floats(min_value=0.0, max_value=0.3),
+    seed=st.integers(min_value=0, max_value=2**16),
+)
+@example(n=8, ell=1, model="uniform", drop=0.0, seed=0)
+@example(n=300, ell=2, model="clustered", drop=0.3, seed=1)
+def test_no_broken_link_iff_the_full_scan_is_exact_property(n, ell, model, drop, seed):
+    """For either pass's alive mask, the links agree with the full scan of the reach rows.
+
+    No link is broken exactly when every target pair is exact, and the broken
+    links are the consecutive target pairs whose bit is missing.
+    """
+    ps, scheme, g, fs, _ = dropped_instance(n, ell, model, drop, seed)
+    f_star = sp.compute_closure(scheme, fs).f_star
+    targets = [v for v in range(n) if v not in f_star]
+    for removed in (fs, f_star):
+        alive = [v not in removed for v in range(n)]
+        reach = _forward_reach(g, alive)
+        pairs, exact, _ = _check_pairs_exhaustive(reach, targets)
+        broken = _broken_links(g, alive, np.array(targets, dtype=np.int64))
+        assert (not broken) == (exact == pairs)
+        assert broken == [(x, y) for x, y in zip(targets, targets[1:]) if not (reach[x] >> y) & 1]
 
 
 @pytest.mark.parametrize("kwargs", [dict(pair_sample=-1), dict(oracle_sample=-3)])
