@@ -87,13 +87,6 @@ class SpannerGraph:
     def edge_set(self) -> frozenset:
         return frozenset(map(tuple, self._edges.tolist()))
 
-    @cached_property
-    def higher_neighbors(self) -> tuple:
-        """Per-vertex ascending higher neighbours: the CSR rows as tuples."""
-        flat = tuple(self._edges[:, 1].tolist())
-        bounds = self.indptr.tolist()
-        return tuple(flat[a:b] for a, b in zip(bounds, bounds[1:]))
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, SpannerGraph)

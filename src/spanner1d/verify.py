@@ -8,17 +8,18 @@ surviving pair outside the ignored set must be joined by an
 index-monotone path. A weighted shortest-path oracle (independent
 numeric route) cross-checks sampled pairs and prices violations.
 
-Monotone reach is transitive, so every target pair is joined exactly
-when each target reaches the next one. These links are checked first,
-in ``O(n + E)``: most by a direct edge, the rest by a forward search
-confined to the range between the two targets. When every link holds,
-every target pair is exact and no sweep runs. Only when a link breaks
-does the reach sweep run, to name the missing pairs: one bigint
-sweep from the top vertex down, each row the OR of its alive higher
-neighbours' rows. A neighbour inside the run of vertices that an already
-OR-ed row covers is skipped: it is in that row, so everything it reaches
-is too. The exhaustive check and the oracle read these rows as they are;
-only a sampled check packs them into a byte matrix.
+One routine decides monotone reach: a bigint sweep over a range of
+vertices from its top down, each row the OR of its alive higher
+neighbours' rows in the range. A neighbour inside the run of vertices
+that an already OR-ed row covers is skipped: it is in that row, so
+everything it reaches is too. Reach is transitive, so every target pair
+is joined exactly when each target reaches the next one. These links are
+checked first, in ``O(n + E)``: most by a direct edge, the rest by the
+sweep run on the range between the two targets. When every link holds,
+every target pair is exact and no full sweep runs. Only when a link
+breaks does the sweep run on all vertices, to name the missing pairs.
+The exhaustive check and the oracle read its rows as they are; only a
+sampled check packs them into a byte matrix.
 
 The oracle certifies exactness on a directed copy of the alive edges,
 each pointing from its smaller to its larger coordinate, before any
@@ -64,32 +65,30 @@ def _broken_links(graph: SpannerGraph, alive, targets: np.ndarray) -> list:
     Monotone reach is transitive, so every pair of targets is joined
     exactly when every link is. A link with a direct edge holds: its key
     ``t_i * n + t_{i+1}`` is found among the sorted edge keys. Any other
-    link is searched forward inside ``[t_i, t_{i+1}]``, the only vertices a
-    monotone path for it visits: the edges whose tail lies there are read
-    in order, and each marks its head when its tail is marked and the head
-    is alive and not past ``t_{i+1}``. The ranges are disjoint, so one mark
-    array serves every link, and no vertex or edge is read twice.
+    link ``(x, y)`` holds when bit ``y - x`` of row 0 of the sweep run on
+    ``[x, y]``, the only vertices a monotone path for it visits, is set.
+    The ranges are disjoint, so no vertex or edge is read twice.
     """
-    n, edges, indptr = graph.n, graph.edges, graph.indptr
+    n, edges = graph.n, graph.edges
     lo, hi = targets[:-1], targets[1:]
     keys = edges[:, 0] * n + edges[:, 1]
     want = lo * n + hi
     direct = np.searchsorted(keys, want, side="right") > np.searchsorted(keys, want)
-    marked = bytearray(n)
-    broken = []
-    for x, y in zip(lo[~direct].tolist(), hi[~direct].tolist()):
-        marked[x] = 1
-        a, b = indptr[x], indptr[y]
-        for u, w in zip(edges[a:b, 0].tolist(), edges[a:b, 1].tolist()):
-            if marked[u] and w <= y and alive[w]:
-                marked[w] = 1
-        if not marked[y]:
-            broken.append((x, y))
-    return broken
+    return [
+        (x, y)
+        for x, y in zip(lo[~direct].tolist(), hi[~direct].tolist())
+        if not (_forward_reach(graph, alive, x, y + 1)[0] >> (y - x)) & 1
+    ]
 
 
-def _forward_reach(graph: SpannerGraph, alive) -> list:
-    """Bitset per vertex of everything reachable by increasing-index paths.
+def _forward_reach(graph: SpannerGraph, alive, lo: int = 0, hi: int | None = None) -> list:
+    """Bitset per vertex of ``[lo, hi)`` of what it reaches by increasing-index paths inside it.
+
+    Bit ``y - lo`` of row ``x - lo`` is set when an alive path with rising
+    indices below ``hi`` joins ``x`` to ``y``; ``hi`` defaults to ``n``, so
+    with no window the rows are the full ones. The CSR rows are read as one
+    flat list of heads relative to ``lo``, each cut at ``hi``: the work is
+    ``O(hi - lo)`` plus the window's edges.
 
     Rows are built from the top vertex down, each the OR of its alive
     higher neighbours' rows. A finished row ``x`` records ``top[x]``, the
@@ -100,23 +99,25 @@ def _forward_reach(graph: SpannerGraph, alive) -> list:
     ``w`` is in ``v``'s row, and every monotone path from ``w`` extends
     the path from ``v`` to ``w``, so ``w``'s row is already in ``v``'s.
     """
-    adj_high = graph.higher_neighbors
+    hi = graph.n if hi is None else hi
+    width, live, indptr = hi - lo, alive[lo:hi], graph.indptr
+    bounds = (indptr[lo : hi + 1] - indptr[lo]).tolist()
+    heads = (graph.edges[indptr[lo] : indptr[hi], 1] - lo).tolist()
     dead = int.from_bytes(
-        np.packbits(~np.asarray(alive, dtype=bool), bitorder="little").tobytes(), "little"
+        np.packbits(~np.asarray(live, dtype=bool), bitorder="little").tobytes(), "little"
     )
-    reach = [0] * graph.n
-    top = [0] * graph.n
-    for x in range(graph.n - 1, -1, -1):
-        if not alive[x]:
+    reach, top = [0] * width, [0] * width
+    for x in range(width - 1, -1, -1):
+        if not live[x]:
             continue
         r = 1 << x
-        nb = adj_high[x]
-        i = 0
-        while i < len(nb):
-            w = nb[i]
-            if alive[w]:
+        i = bounds[x]
+        end = bisect_right(heads, width - 1, i, bounds[x + 1])
+        while i < end:
+            w = heads[i]
+            if live[w]:
                 r |= reach[w]
-                i = bisect_right(nb, top[w], i + 1)
+                i = bisect_right(heads, top[w], i + 1, end)
             else:
                 i += 1
         reach[x] = r
@@ -462,8 +463,12 @@ def verify_robust_spanner(
     f_star = trace.f_star
     bound_ok = within_spec_bound(trace)
 
-    alive = [v not in fs for v in range(n)]
-    targets = np.array(sorted(set(range(n)) - f_star), dtype=np.int64)
+    dead = np.zeros(n, dtype=bool)
+    dead[list(fs)] = True
+    ignored = np.zeros(n, dtype=bool)
+    ignored[list(f_star)] = True
+    alive = (~dead).tolist()
+    targets = np.flatnonzero(~ignored)
     rng = np.random.default_rng(seed)
 
     exhaustive = n <= exhaustive_limit
@@ -515,10 +520,10 @@ def verify_robust_spanner(
             (x, y, d) for (x, y), d, mono, ok in zip(sample, lengths, monotone, exact) if mono != ok
         ]
 
-    ignored_alive = np.array(sorted(f_star - fs), dtype=np.int64)
+    ignored_alive = np.flatnonzero(ignored & ~dead)
     max_stretch = math.nan
     if len(ignored_alive) and oracle_sample > 0:
-        live = np.flatnonzero(alive)
+        live = np.flatnonzero(~dead)
         k = min(oracle_sample, 4 * len(ignored_alive))
         ixs = ignored_alive[rng.integers(0, len(ignored_alive), size=k)]
         iys = live[rng.integers(0, len(live), size=k)]
@@ -538,7 +543,7 @@ def verify_robust_spanner(
         # when the closure adds nothing, the second pass would repeat the first
         strong_ok = exact_pairs == pairs_checked
         if f_star != fs:
-            alive2 = [v not in f_star for v in range(n)]
+            alive2 = (~ignored).tolist()
             # a broken link fails some target pair, and only a sample can miss it
             strong_ok = not _broken_links(graph, alive2, targets)
             if not strong_ok and not exhaustive:

@@ -29,9 +29,10 @@ def path_graph():
     return sp.SpannerGraph(3, [(0, 1), (1, 2)]), ps
 
 
-def reach_sets(graph, alive):
-    """``_forward_reach`` rows as sets of vertex indices."""
-    return [{y for y in range(graph.n) if (r >> y) & 1} for r in _forward_reach(graph, alive)]
+def reach_sets(graph, alive, lo=0, hi=None):
+    """``_forward_reach`` rows of the window ``[lo, hi)`` as sets of vertex indices."""
+    rows = _forward_reach(graph, alive, lo, hi)
+    return [{lo + y for y in range(len(rows)) if (r >> y) & 1} for r in rows]
 
 
 def test_exact_reach_on_path():
@@ -67,19 +68,32 @@ def test_forward_reach_matches_per_source(instance):
     density=st.floats(min_value=0.0, max_value=1.0),
     removal=st.floats(min_value=0.0, max_value=1.0),
     seed=st.integers(min_value=0, max_value=2**32 - 1),
+    lo=st.integers(min_value=0, max_value=39),
+    width=st.integers(min_value=1, max_value=40),
 )
-@example(n=1, density=1.0, removal=0.0, seed=0)
-@example(n=40, density=0.5, removal=1.0, seed=0)  # every vertex dead
-@example(n=40, density=0.2, removal=0.0, seed=1)  # every vertex alive
-def test_forward_reach_matches_reference_property(n, density, removal, seed):
-    """Skipping covered neighbours leaves every row as the per-source search finds it."""
+@example(n=1, density=1.0, removal=0.0, seed=0, lo=0, width=1)
+@example(n=40, density=0.5, removal=1.0, seed=0, lo=3, width=20)  # every vertex dead
+@example(n=40, density=0.2, removal=0.0, seed=1, lo=5, width=30)  # every vertex alive
+@example(n=40, density=0.6, removal=0.1, seed=2, lo=39, width=1)  # the top vertex alone
+def test_forward_reach_matches_reference_property(n, density, removal, seed, lo, width):
+    """Skipping covered neighbours leaves every row as the per-source search finds it.
+
+    The full rows are checked, and then the rows of the window ``[lo, hi)``
+    against a per-source search that never leaves it.
+    """
     rng = np.random.default_rng(seed)
     u, v = np.triu_indices(n, 1)
     keep = rng.random(len(u)) < density
     g = sp.SpannerGraph(n, np.stack([u[keep], v[keep]], 1))
     removed = frozenset(np.flatnonzero(rng.random(n) < removal).tolist())
-    rows = reach_sets(g, [x not in removed for x in range(n)])
+    alive = [x not in removed for x in range(n)]
+    rows = reach_sets(g, alive)
     assert rows == [set() if x in removed else monotone_reach_up(g, removed, x) for x in range(n)]
+    lo = min(lo, n - 1)
+    hi = min(lo + width, n)
+    outside = removed | frozenset(range(hi, n))
+    want = [set() if x in removed else monotone_reach_up(g, outside, x) for x in range(lo, hi)]
+    assert reach_sets(g, alive, lo, hi) == want
 
 
 def test_oracle_on_complete_graph(instance):
@@ -242,10 +256,15 @@ def dropped_instance(n, ell, model, drop, seed):
 
 
 def flipped_reach(rows):
-    """``_forward_reach`` with every bit of the given sources' rows inverted."""
+    """``_forward_reach`` with every bit of the given sources' full rows inverted.
 
-    def reach(graph, alive):
-        out = _forward_reach(graph, alive)
+    A window call, as the links make, is passed through unchanged.
+    """
+
+    def reach(graph, alive, lo=0, hi=None):
+        out = _forward_reach(graph, alive, lo, hi)
+        if hi is not None:
+            return out
         for x in rows:
             out[x] ^= (1 << graph.n) - 1
         return out
@@ -662,6 +681,20 @@ def test_exhaustive_missing_pairs_order():
     assert missing == [(2, 3), (1, 2), (1, 3), (0, 1), (0, 2), (0, 3)]
 
 
+def full_width_spy(calls):
+    """``_forward_reach`` appending the ``alive`` of each full-width sweep to ``calls``.
+
+    The links' sweeps of their own ranges run unrecorded.
+    """
+
+    def reach(graph, alive, lo=0, hi=None):
+        if hi is None:
+            calls.append(alive)
+        return _forward_reach(graph, alive, lo, hi)
+
+    return reach
+
+
 def all_joined(g, removed, targets):
     """Whether a fresh reach joins every pair of ``targets`` with ``removed`` deleted."""
     reach = _forward_reach(g, [v not in removed for v in range(g.n)])
@@ -715,16 +748,12 @@ def test_strong_pass_sweeps_only_when_the_closure_grows(instance, cut, fs, exhau
         links.append(alive)
         return _broken_links(graph, alive, targets)
 
-    def counted(graph, alive):
-        calls.append(alive)
-        return _forward_reach(graph, alive)
-
     def counted_pack(reach):
         packs.append(len(reach))
         return _pack_reach(reach)
 
     with mock.patch.object(verify, "_broken_links", counted_links), \
-            mock.patch.object(verify, "_forward_reach", counted), \
+            mock.patch.object(verify, "_forward_reach", full_width_spy(calls)), \
             mock.patch.object(verify, "_pack_reach", counted_pack):
         rep = sp.verify_robust_spanner(g, ps, scheme, fs, **kwargs)
     alive, alive2 = ([v not in r for v in range(64)] for r in (fs, f_star))
@@ -759,7 +788,7 @@ def refuse_sweep(*args):
 def test_intact_spanner_is_decided_by_its_links(
     instance, n, k, seed, exhaustive_limit, grows, strong
 ):
-    """Every first-pass link of an intact spanner holds: no sweep, no packing, no reach lists.
+    """Every first-pass link of an intact spanner holds: no full-width sweep, no packing.
 
     At n = 1024 the closure adds nothing, so the strong pass takes the first
     pass's verdict. At n = 216 it grows, and the strong pass reads its
@@ -767,16 +796,16 @@ def test_intact_spanner_is_decided_by_its_links(
     breaks.
     """
     ps, scheme, g = instance(n, 2)
-    g = sp.SpannerGraph(n, g.edges)  # a fresh graph, with no reach lists built
     fs = sp.random_failures(n, k, seed)
     f_star = sp.compute_closure(scheme, fs).f_star
     assert (f_star != fs) is grows
-    with mock.patch.object(verify, "_forward_reach", refuse_sweep), \
+    full = []
+    with mock.patch.object(verify, "_forward_reach", full_width_spy(full)), \
             mock.patch.object(verify, "_pack_reach", refuse_sweep):
         rep = sp.verify_robust_spanner(
             g, ps, scheme, fs, exhaustive_limit=exhaustive_limit, seed=1
         )
-    assert "higher_neighbors" not in vars(g)
+    assert full == []  # no full-width sweep ran
     assert rep.passed and rep.exact_pairs == rep.pairs_checked > 0
     assert rep.oracle_checked == 500 and rep.oracle_mismatches == ()
     exhaustive = n <= exhaustive_limit
