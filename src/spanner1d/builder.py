@@ -70,28 +70,23 @@ class SpannerGraph:
         indptr = np.searchsorted(out[:, 0], np.arange(self.n + 1))
         out.flags.writeable = False
         indptr.flags.writeable = False
-        self._edges = out
+        self.edges = out
         self.indptr = indptr
         self.provenance = provenance
 
     @property
     def edge_count(self) -> int:
-        return int(self._edges.shape[0])
-
-    @property
-    def edges(self) -> np.ndarray:
-        """Edges as a read-only (E, 2) array, u < v, lexicographically sorted."""
-        return self._edges
+        return int(self.edges.shape[0])
 
     @cached_property
     def edge_set(self) -> frozenset:
-        return frozenset(map(tuple, self._edges.tolist()))
+        return frozenset(map(tuple, self.edges.tolist()))
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, SpannerGraph)
             and self.n == other.n
-            and np.array_equal(self._edges, other._edges)
+            and np.array_equal(self.edges, other.edges)
         )
 
     def __repr__(self) -> str:

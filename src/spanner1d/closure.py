@@ -10,31 +10,58 @@ drags every layer-``i`` cluster containing it into the ignored set.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .core import check_failures
-from .scheme import HalfClusterRef, LayeredScheme
+from .scheme import LayeredScheme, half_clusters_of_layer
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ClosureTrace:
-    """Snapshots F_0 .. F_ell of the growing ignored set plus every triggering tile."""
+    """The layer at which each vertex joined the ignored set, and the tiles that triggered.
 
-    per_layer: tuple
-    triggered: tuple
+    ``joined[v]`` is 0 for a failure, the layer that added ``v``, or
+    ``ell + 1`` when ``v`` never joins, so ``F_i`` is ``joined <= i``.
+    ``hits[i - 1]`` indexes the tiles that triggered at layer ``i``, and
+    ``f_size``, ``f_star_size`` count F and F*. Sets are built on first read.
+    """
 
-    @property
-    def failures(self) -> frozenset:
-        return self.per_layer[0]
-
-    @property
-    def f_star(self) -> frozenset:
-        return self.per_layer[-1]
+    scheme: LayeredScheme
+    joined: np.ndarray
+    hits: tuple
+    f_size: int
+    f_star_size: int
 
     @property
     def ell(self) -> int:
-        return len(self.per_layer) - 1
+        return self.scheme.ell
+
+    @cached_property
+    def failures(self) -> frozenset:
+        return _members(self.joined == 0)
+
+    @cached_property
+    def f_star(self) -> frozenset:
+        return _members(self.joined <= self.ell)
+
+    @cached_property
+    def per_layer(self) -> tuple:
+        """Snapshots F_0 .. F_ell."""
+        sets = [_members(self.joined <= i) for i in range(len(self.hits) + 1)]
+        # complete mode records no layers: every snapshot is F
+        return tuple(sets) + (sets[-1],) * (self.ell - len(self.hits))
+
+    @cached_property
+    def triggered(self) -> tuple:
+        """Every triggering tile as a ``HalfClusterRef``, layer by layer, left to right."""
+        layers = enumerate(self.hits, 1)
+        return tuple(t for i, ks in layers for t in half_clusters_of_layer(self.scheme, i, ks))
+
+
+def _members(mask: np.ndarray) -> frozenset:
+    return frozenset(np.flatnonzero(mask).tolist())
 
 
 def half_threshold(size: int) -> int:
@@ -43,36 +70,33 @@ def half_threshold(size: int) -> int:
 
 
 def compute_closure(scheme: LayeredScheme, failures) -> ClosureTrace:
-    """Run the per-layer majority rule and record every snapshot."""
+    """Run the per-layer majority rule, recording the layer each vertex joins at."""
     fs = check_failures(failures, scheme.n)
+    joined = np.full(scheme.n, np.int64(scheme.ell + 1))
+    joined[np.fromiter(fs, dtype=np.int64, count=len(fs))] = 0
     if scheme.complete_mode:
         # No cluster structure: nothing beyond the failures is ignored.
-        return ClosureTrace((fs,) * (scheme.ell + 1), ())
+        return ClosureTrace(scheme, joined, (), len(fs), len(fs))
 
-    per_layer = [fs]
-    triggered = []
-    failed = np.zeros(scheme.n, dtype=bool)
-    failed[list(fs)] = True
+    hits = []
     for layer in range(1, scheme.ell + 1):
-        csum = np.concatenate(([0], np.cumsum(failed)))
         lo, hi = scheme.tile_bounds(layer)
-        lost = csum[hi] - csum[lo]
+        # counted on F_{layer-1}, before this layer grows it: the snapshot rule
+        lost = np.add.reduceat(joined < layer, lo, dtype=np.int64)
         # every tile is a full half-cluster except possibly a short last one
         hit = lost >= half_threshold(int(hi[0] - lo[0]))
         hit[-1] = lost[-1] >= half_threshold(int(hi[-1] - lo[-1]))
-        los, his = lo.tolist(), hi.tolist()
-        last = len(los) - 1
-        # the counts are taken, so growing in place keeps the snapshot rule
-        for k in np.flatnonzero(hit).tolist():
-            triggered.append(HalfClusterRef.of_tile(layer, k, last, los[k], his[k]))
-            # tile k lies in clusters k-1 and k, which cover tiles k-1 .. k+1
-            failed[los[max(k - 1, 0)] : his[min(k + 1, last)]] = True
-        per_layer.append(frozenset(np.flatnonzero(failed).tolist()))
-    return ClosureTrace(tuple(per_layer), tuple(triggered))
+        hits.append(np.flatnonzero(hit).tolist())
+        # tile k lies in clusters k-1 and k, which cover tiles k-1 .. k+1
+        grow = hit.copy()
+        grow[1:] |= hit[:-1]
+        grow[:-1] |= hit[1:]
+        joined[np.repeat(grow, hi - lo) & (joined > layer)] = layer
+    return ClosureTrace(scheme, joined, tuple(hits), len(fs), int((joined <= scheme.ell).sum()))
 
 
 def within_spec_bound(trace: ClosureTrace) -> bool:
     """True iff |F*| <= 6**ell * |F|, the guaranteed growth bound."""
-    f_star = len(trace.f_star)
+    f_star = trace.f_star_size
     # past the bit length of |F*|, 6**ell > |F*|, and |F| >= 1 whenever |F*| >= 1
-    return f_star <= 6 ** min(trace.ell, f_star.bit_length()) * len(trace.failures)
+    return f_star <= 6 ** min(trace.ell, f_star.bit_length()) * trace.f_size

@@ -82,9 +82,10 @@ def check_vertex(n: int, v: int) -> int:
 
 def check_failures(members: Iterable[int], n: int) -> frozenset:
     """Validate a failure set against a point count and freeze it."""
-    fs = frozenset(int(v) for v in members)
+    fs = frozenset(map(int, members))
     for v in fs:
-        check_vertex(n, v)
+        if not 0 <= v < n:
+            check_vertex(n, v)
     return fs
 
 

@@ -160,22 +160,17 @@ def run_closure_stats(n: int, ell: int, k: int, trials: int, seed: int = 0):
     bound = float(6 ** min(ell, 1024))
     rows = []
     for trial in range(trials):
-        rng = make_rng(seed, trial)
-        fs = frozenset(rng.choice(n, size=k, replace=False).tolist())
-        trace = compute_closure(scheme, fs)
-        f_star, within = trace.f_star, within_spec_bound(trace)
-        # free the other snapshots now: held into the next closure, they slow it
-        del trace
+        trace = compute_closure(scheme, make_rng(seed, trial).choice(n, k, replace=False).tolist())
         rows.append(
             ClosureTrialRow(
                 trial=trial,
                 n=n,
                 ell=ell,
                 k=k,
-                f_star_size=len(f_star),
-                ratio=len(f_star) / len(fs),
+                f_star_size=trace.f_star_size,
+                ratio=trace.f_star_size / trace.f_size,
                 bound=bound,
-                within_bound=within,
+                within_bound=within_spec_bound(trace),
             )
         )
     offenders = [r for r in rows if not r.within_bound]

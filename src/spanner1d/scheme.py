@@ -57,17 +57,6 @@ class HalfClusterRef:
     def size(self) -> int:
         return self.hi - self.lo
 
-    @classmethod
-    def of_tile(cls, layer: int, k: int, last: int, lo: int, hi: int) -> HalfClusterRef:
-        """Tile ``k`` of a layer whose last tile is ``last``, both 0-based.
-
-        Every tile but the last starts cluster ``k + 1``; the last is the
-        right half of the last cluster, ordinal ``last``.
-        """
-        if k < last:
-            return cls(layer, k + 1, "L", lo, hi)
-        return cls(layer, k, "R", lo, hi)
-
 
 @dataclass(frozen=True)
 class LayeredScheme:
@@ -146,15 +135,18 @@ def build_scheme(n: int, ell: int) -> LayeredScheme:
     return LayeredScheme(n, ell, m, False)
 
 
-def half_clusters_of_layer(s: LayeredScheme, layer: int) -> tuple:
-    """Distinct half-cluster tiles of a layer, left to right, built on demand."""
-    if s.complete_mode:
-        return ()
-    lo, hi = s.tile_bounds(layer)
+def half_clusters_of_layer(s: LayeredScheme, layer: int, tiles=None) -> tuple:
+    """Distinct half-cluster tiles of a layer, left to right, built on demand.
+
+    ``tiles`` lists the 0-based indices of the tiles wanted, ascending; by
+    default every tile. Every tile ``k`` but the last starts cluster
+    ``k + 1``; the last is the right half of the last cluster.
+    """
+    lo, hi = (b.tolist() for b in s.tile_bounds(layer))
     last = len(lo) - 1
     return tuple(
-        HalfClusterRef.of_tile(layer, k, last, a, b)
-        for k, (a, b) in enumerate(zip(lo.tolist(), hi.tolist()))
+        HalfClusterRef(layer, k + 1 if k < last else k, "L" if k < last else "R", lo[k], hi[k])
+        for k in (range(len(lo)) if tiles is None else tiles)
     )
 
 

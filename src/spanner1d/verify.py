@@ -150,12 +150,10 @@ def _pack_reach(reach: list) -> np.ndarray:
     return out
 
 
-def _alive_edges(graph: SpannerGraph, removed: frozenset) -> np.ndarray:
-    """The (E, 2) edges whose endpoints both survive ``removed``."""
+def _alive_edges(graph: SpannerGraph, dead: np.ndarray) -> np.ndarray:
+    """The (E, 2) edges with neither endpoint marked in the boolean mask ``dead``."""
     edges = graph.edges
-    if removed:
-        dead = np.zeros(graph.n, dtype=bool)
-        dead[list(removed)] = True
+    if dead.any():
         edges = edges[~(dead[edges[:, 0]] | dead[edges[:, 1]])]
     return edges
 
@@ -203,11 +201,11 @@ def brute_force_oracle(
         raise SchemeMismatch(f"graph n={graph.n} vs point set n={ps.n}")
     if graph.n > limit:
         raise TooLarge(f"oracle guard: n={graph.n} exceeds limit={limit}")
-    fs = check_failures(failures, graph.n)
-    alive = [v for v in range(graph.n) if v not in fs]
+    dead = np.isin(np.arange(graph.n), list(check_failures(failures, graph.n)))
+    alive = np.flatnonzero(~dead).tolist()
     if not alive:
         return {}
-    rows = dijkstra(_oracle_csr(ps, _alive_edges(graph, fs)), indices=alive)
+    rows = dijkstra(_oracle_csr(ps, _alive_edges(graph, dead)), indices=alive)
     out = {}
     for i, x in enumerate(alive):
         row = rows[i]
@@ -281,7 +279,7 @@ def _sample_pairs(rng, pool: np.ndarray, count: int):
     draws whose indices differ, until ``count`` pairs are kept.
     """
     t = len(pool)
-    firsts, seconds = [], []
+    firsts, seconds = [pool[:0]], [pool[:0]]
     have = 0
     while have < count:
         need = count - have
@@ -291,8 +289,7 @@ def _sample_pairs(rng, pool: np.ndarray, count: int):
         firsts.append(pool[a[keep]])
         seconds.append(pool[b[keep]])
         have += len(keep)
-    u = np.concatenate(firsts) if firsts else np.empty(0, dtype=np.int64)
-    v = np.concatenate(seconds) if seconds else np.empty(0, dtype=np.int64)
+    u, v = np.concatenate(firsts), np.concatenate(seconds)
     return np.minimum(u, v), np.maximum(u, v)
 
 
@@ -458,15 +455,11 @@ def verify_robust_spanner(
             f"pair_sample={pair_sample} and oracle_sample={oracle_sample} must be >= 0"
         )
     n = graph.n
-    fs = check_failures(failures, n)
-    trace = compute_closure(scheme, fs)
-    f_star = trace.f_star
+    trace = compute_closure(scheme, failures)
     bound_ok = within_spec_bound(trace)
 
-    dead = np.zeros(n, dtype=bool)
-    dead[list(fs)] = True
-    ignored = np.zeros(n, dtype=bool)
-    ignored[list(f_star)] = True
+    dead = trace.joined == 0
+    ignored = trace.joined <= trace.ell
     alive = (~dead).tolist()
     targets = np.flatnonzero(~ignored)
     rng = np.random.default_rng(seed)
@@ -502,7 +495,7 @@ def verify_robust_spanner(
 
     # one alive filter and one forward copy for the whole oracle; the full
     # matrix only when used
-    edges = _alive_edges(graph, fs) if missing or oracle_sample > 0 else None
+    edges = _alive_edges(graph, dead) if missing or oracle_sample > 0 else None
     forward = functools.cache(lambda: _forward_rows(ps, edges))
     oracle = functools.cache(lambda: _oracle_csr(ps, edges))
     priced = _price_pairs(oracle(), missing[:512]) if missing else []
@@ -542,7 +535,7 @@ def verify_robust_spanner(
     if strong_check:
         # when the closure adds nothing, the second pass would repeat the first
         strong_ok = exact_pairs == pairs_checked
-        if f_star != fs:
+        if trace.f_star_size != trace.f_size:
             alive2 = (~ignored).tolist()
             # a broken link fails some target pair, and only a sample can miss it
             strong_ok = not _broken_links(graph, alive2, targets)
@@ -553,8 +546,8 @@ def verify_robust_spanner(
     return VerificationReport(
         n=n,
         seed=seed,
-        f_size=len(fs),
-        f_star_size=len(f_star),
+        f_size=trace.f_size,
+        f_star_size=trace.f_star_size,
         pairs_checked=pairs_checked,
         exact_pairs=exact_pairs,
         violations=tuple(violations),

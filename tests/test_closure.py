@@ -1,5 +1,8 @@
+import tracemalloc
+
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import spanner1d as sp
@@ -60,6 +63,19 @@ def test_cascade_reaches_higher_layer():
     layers_hit = {ev.layer for ev in trace.triggered}
     assert layers_hit == {1, 2}
     assert trace.per_layer[0] < trace.per_layer[1] < trace.per_layer[2]
+
+
+def test_complete_mode_depth_builds_nothing_per_layer():
+    """A depth of 30 million in complete mode costs no memory per layer."""
+    tracemalloc.start()
+    try:
+        trace = compute_closure(sp.build_scheme(16, 30_000_000), {3})
+        assert trace.f_star_size == 1
+        assert within_spec_bound(trace)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * 2**20, f"peak {peak} bytes"
 
 
 def test_failures_out_of_range():
@@ -129,3 +145,45 @@ def test_closure_additions_are_triggered_clusters(n, ell, data):
     per_layer, triggered = simple_closure(n, ell, fs)
     assert list(trace.per_layer) == per_layer
     assert [(t.layer, t.lo, t.hi) for t in trace.triggered] == triggered
+
+
+@st.composite
+def dense_instances(draw):
+    """``(n, ell, F)`` with up to n/2 failures: at most two runs, which wipe
+    whole tiles and set off adjacent triggers and cascades, then scattered
+    points."""
+    n = draw(st.integers(min_value=1, max_value=700))
+    ell = draw(st.integers(min_value=1, max_value=3))
+    fs = set()
+    run = st.tuples(st.integers(0, n - 1), st.integers(1, max(1, n // 4)))
+    for start, width in draw(st.lists(run, max_size=2)):
+        fs.update(range(start, min(n, start + width)))
+    rest = np.setdiff1d(np.arange(n), sorted(fs))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**16)))
+    extra = draw(st.integers(min_value=0, max_value=max(0, n // 2 - len(fs))))
+    fs.update(rng.choice(rest, size=extra, replace=False).tolist())
+    return n, ell, frozenset(fs)
+
+
+@settings(max_examples=80, deadline=None)
+@given(dense_instances())
+# a run over the first tiles, a lone failure in the size-1 tail, adjacent
+# triggers and a two-layer cascade
+@example((16, 1, frozenset({0, 1})))
+@example((145, 1, frozenset({144})))
+@example((16, 1, frozenset({2, 3, 4, 5})))
+@example((64, 2, frozenset({0, 1})))
+def test_dense_closure_matches_reference_property(inst):
+    """Dense failure sets give the reference's snapshots and triggers, and
+    the layer array, the sets and the counts agree."""
+    n, ell, fs = inst
+    trace = compute_closure(sp.build_scheme(n, ell), fs)
+    per_layer, triggered = simple_closure(n, ell, fs)
+    assert list(trace.per_layer) == per_layer
+    assert [(t.layer, t.lo, t.hi) for t in trace.triggered] == triggered
+    assert len(trace.per_layer) == ell + 1
+    for i, snapshot in enumerate(trace.per_layer):
+        assert snapshot == {v for v in range(n) if trace.joined[v] <= i}
+    assert trace.failures == fs and len(trace.failures) == trace.f_size
+    assert trace.f_star == per_layer[-1] and len(trace.f_star) == trace.f_star_size
+    assert ((trace.joined >= 0) & (trace.joined <= ell + 1)).all()

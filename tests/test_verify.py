@@ -350,10 +350,17 @@ def test_forward_certificates_match_full_search_property(
     assert certified.to_json() == full.to_json()
 
 
+def alive_edges(graph, removed):
+    """``verify._alive_edges`` with the removed vertices given as a set."""
+    dead = np.zeros(graph.n, dtype=bool)
+    dead[list(removed)] = True
+    return verify._alive_edges(graph, dead)
+
+
 def forward_csr(graph, ps, removed):
     """Directed CSR of the alive edges, each pointing up the line and weighted
     by its gap: the matrix the forward path search replaced."""
-    edges = verify._alive_edges(graph, removed)
+    edges = alive_edges(graph, removed)
     ends = ps.coords[edges]
     up = ends[:, 0] < ends[:, 1]
     tail = np.where(up, edges[:, 0], edges[:, 1])
@@ -408,7 +415,7 @@ def test_path_search_certifies_the_dijkstra_pairs_property(n, ell, model, drop, 
     xs, ys = _sample_pairs(rng, alive, 200)
     # either endpoint may come first
     pairs = [(x, y) if i % 2 else (y, x) for i, (x, y) in enumerate(zip(xs.tolist(), ys.tolist()))]
-    edges = verify._alive_edges(g, fs)
+    edges = alive_edges(g, fs)
     alone = [price_forward(ps, edges, [p])[0] for p in pairs]
     want = dijkstra_price_forward(g, ps, fs, pairs)
     assert certified(ps, pairs, alone) == certified(ps, pairs, want)
@@ -561,7 +568,7 @@ def test_forward_step_certifies_exactly_the_monotone_pairs(n, ell, model):
     alive = [v for v in range(n) if v not in fs]
     pairs = [tuple(sorted(p)) for p in rng.choice(alive, size=(400, 2)).tolist() if p[0] != p[1]]
     reach = _forward_reach(g, [v not in fs for v in range(n)])
-    lengths = price_forward(ps, verify._alive_edges(g, fs), pairs)
+    lengths = price_forward(ps, alive_edges(g, fs), pairs)
     certified = [
         verify._within_tolerance(d, ps.coords[y] - ps.coords[x])
         for (x, y), d in zip(pairs, lengths)
