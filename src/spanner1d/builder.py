@@ -163,8 +163,10 @@ def edge_count_bound(n: int, ell: int) -> float:
 
 def write_edge_list(graph: SpannerGraph, path: str | Path) -> None:
     """One ``u v`` pair per line, sorted; blank lines and # comments allowed."""
-    edges = graph.edges
-    Path(path).write_text(("%d %d\n" * len(edges)) % tuple(edges.ravel().tolist()))
+    n = graph.n
+    # word v reads "v " and word n + v reads "v\n", so edge (u, v) picks words u and n + v
+    words = np.array([f"{v} " for v in range(n)] + [f"{v}\n" for v in range(n)], dtype=object)
+    Path(path).write_text("".join(words[graph.edges + [0, n]].ravel().tolist()))
 
 
 def read_edge_list(path: str | Path, n: int | None = None) -> SpannerGraph:

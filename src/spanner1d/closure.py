@@ -14,7 +14,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import check_failures
+from .core import failure_indices
 from .scheme import LayeredScheme, half_clusters_of_layer
 
 
@@ -71,12 +71,12 @@ def half_threshold(size: int) -> int:
 
 def compute_closure(scheme: LayeredScheme, failures) -> ClosureTrace:
     """Run the per-layer majority rule, recording the layer each vertex joins at."""
-    fs = check_failures(failures, scheme.n)
     joined = np.full(scheme.n, np.int64(scheme.ell + 1))
-    joined[np.fromiter(fs, dtype=np.int64, count=len(fs))] = 0
+    joined[failure_indices(failures, scheme.n)] = 0
+    f_size = int(np.count_nonzero(joined == 0))  # repeated members count once
     if scheme.complete_mode:
         # No cluster structure: nothing beyond the failures is ignored.
-        return ClosureTrace(scheme, joined, (), len(fs), len(fs))
+        return ClosureTrace(scheme, joined, (), f_size, f_size)
 
     hits = []
     for layer in range(1, scheme.ell + 1):
@@ -92,7 +92,7 @@ def compute_closure(scheme: LayeredScheme, failures) -> ClosureTrace:
         grow[1:] |= hit[:-1]
         grow[:-1] |= hit[1:]
         joined[np.repeat(grow, hi - lo) & (joined > layer)] = layer
-    return ClosureTrace(scheme, joined, tuple(hits), len(fs), int((joined <= scheme.ell).sum()))
+    return ClosureTrace(scheme, joined, tuple(hits), f_size, int((joined <= scheme.ell).sum()))
 
 
 def within_spec_bound(trace: ClosureTrace) -> bool:

@@ -80,13 +80,29 @@ def check_vertex(n: int, v: int) -> int:
     return v
 
 
+def failure_indices(members: Iterable[int], n: int) -> np.ndarray:
+    """Validate a failure set as one int64 index array, repeated members kept.
+
+    An int64 array is used as it is; any other iterable goes through ``np.fromiter``.
+    """
+    own = isinstance(members, np.ndarray) and members.dtype == np.int64
+    try:
+        idx = members if own else np.fromiter(members, dtype=np.int64)
+    except OverflowError:  # a member past int64: look for it in members
+        idx, stray = members, True
+    else:
+        # under uint64 a negative index wraps past n, so one max checks both ends
+        stray = idx.size and idx.view(np.uint64).max() >= n
+    if stray:
+        for v in idx:
+            check_vertex(n, int(v))
+        raise IndexOutOfRange(f"a vertex index outside [0, {n})")  # an iterator read up
+    return idx
+
+
 def check_failures(members: Iterable[int], n: int) -> frozenset:
     """Validate a failure set against a point count and freeze it."""
-    fs = frozenset(map(int, members))
-    for v in fs:
-        if not 0 <= v < n:
-            check_vertex(n, v)
-    return fs
+    return frozenset(failure_indices(members, n).tolist())
 
 
 def parse_points(text: str) -> PointSet:
@@ -108,7 +124,7 @@ def parse_failures(text: str, n: int) -> frozenset:
     stripped = text.split("#", 1)[0].strip()
     if not stripped:
         return frozenset()
-    return check_failures((int(tok) for tok in stripped.split(",")), n)
+    return check_failures([int(tok) for tok in stripped.split(",")], n)
 
 
 def load_failures(path: str | Path, n: int) -> frozenset:

@@ -160,7 +160,7 @@ def run_closure_stats(n: int, ell: int, k: int, trials: int, seed: int = 0):
     bound = float(6 ** min(ell, 1024))
     rows = []
     for trial in range(trials):
-        trace = compute_closure(scheme, make_rng(seed, trial).choice(n, k, replace=False).tolist())
+        trace = compute_closure(scheme, make_rng(seed, trial).choice(n, k, replace=False))
         rows.append(
             ClosureTrialRow(
                 trial=trial,

@@ -41,7 +41,7 @@ import functools
 import json
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -49,7 +49,7 @@ from scipy.sparse.csgraph import dijkstra
 
 from .builder import SchemeMismatch, SpannerGraph
 from .closure import compute_closure, within_spec_bound
-from .core import PointSet, check_failures
+from .core import PointSet, failure_indices
 from .scheme import LayeredScheme
 
 ORACLE_RELATIVE_TOLERANCE = 1e-12
@@ -201,17 +201,13 @@ def brute_force_oracle(
         raise SchemeMismatch(f"graph n={graph.n} vs point set n={ps.n}")
     if graph.n > limit:
         raise TooLarge(f"oracle guard: n={graph.n} exceeds limit={limit}")
-    dead = np.isin(np.arange(graph.n), list(check_failures(failures, graph.n)))
+    dead = np.zeros(graph.n, dtype=bool)
+    dead[failure_indices(failures, graph.n)] = True
     alive = np.flatnonzero(~dead).tolist()
     if not alive:
         return {}
     rows = dijkstra(_oracle_csr(ps, _alive_edges(graph, dead)), indices=alive)
-    out = {}
-    for i, x in enumerate(alive):
-        row = rows[i]
-        for y in alive[i + 1 :]:
-            out[(x, y)] = float(row[y])
-    return out
+    return {(x, y): float(rows[i, y]) for i, x in enumerate(alive) for y in alive[i + 1 :]}
 
 
 @dataclass(frozen=True)
@@ -238,28 +234,16 @@ class VerificationReport:
 
     def to_json(self) -> str:
         def enc(x):
-            if x is None or (isinstance(x, float) and math.isnan(x)):
+            if x is None or math.isnan(x):
                 return None
-            if isinstance(x, float) and math.isinf(x):
-                return "inf"
-            return x
+            return "inf" if math.isinf(x) else x
 
-        doc = {
-            "n": self.n,
-            "seed": self.seed,
-            "f_size": self.f_size,
-            "f_star_size": self.f_star_size,
-            "pairs_checked": self.pairs_checked,
-            "exact_pairs": self.exact_pairs,
-            "violations": [[u, v, enc(d)] for u, v, d in self.violations],
-            "oracle_checked": self.oracle_checked,
-            "oracle_mismatches": [[u, v, enc(d)] for u, v, d in self.oracle_mismatches],
-            "max_stretch_over_ignored": enc(self.max_stretch_over_ignored),
-            "bound_ok": self.bound_ok,
-            "exhaustive": self.exhaustive,
-            "strong_variant_ok": self.strong_variant_ok,
-            "pass": self.passed,
-        }
+        # keys in field order, then the verdict
+        doc = {f.name: getattr(self, f.name) for f in fields(self)}
+        for key in ("violations", "oracle_mismatches"):
+            doc[key] = [[u, v, enc(d)] for u, v, d in doc[key]]
+        doc["max_stretch_over_ignored"] = enc(self.max_stretch_over_ignored)
+        doc["pass"] = self.passed
         return json.dumps(doc, indent=2)
 
     def summary(self) -> str:
@@ -502,13 +486,11 @@ def verify_robust_spanner(
     violations = [(x, y, None if math.isinf(d) else d) for (x, y), d in zip(missing, priced)]
     violations.extend((x, y, None) for x, y in missing[512:])
 
-    oracle_checked = 0
     oracle_mismatches = []
     if sample:
         # a pair the reach denies is priced on the full graph even when its
         # forward path certifies, so every mismatch reports that length
         lengths, exact = _price_exact(ps, forward(), oracle, sample, monotone)
-        oracle_checked = len(sample)
         oracle_mismatches = [
             (x, y, d) for (x, y), d, mono, ok in zip(sample, lengths, monotone, exact) if mono != ok
         ]
@@ -551,7 +533,7 @@ def verify_robust_spanner(
         pairs_checked=pairs_checked,
         exact_pairs=exact_pairs,
         violations=tuple(violations),
-        oracle_checked=oracle_checked,
+        oracle_checked=len(sample),
         oracle_mismatches=tuple(oracle_mismatches),
         max_stretch_over_ignored=max_stretch,
         bound_ok=bound_ok,

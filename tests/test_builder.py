@@ -215,6 +215,11 @@ def test_edge_list_exact_bytes(tmp_path, instance):
     want = "".join(f"{u} {v}\n" for u, v in sorted(layered.edge_set))
     assert path.read_bytes() == want.encode()
     assert path.read_bytes().count(b"\n") == layered.edge_count == 3360
+    # the bytes of the "%d %d\n" form, top vertex and widest numbers included
+    for g in (sp.SpannerGraph(1, []), sp.SpannerGraph(4, []), complete, layered):
+        sp.write_edge_list(g, path)
+        want = ("%d %d\n" * g.edge_count) % tuple(g.edges.ravel().tolist())
+        assert path.read_bytes() == want.encode()
 
 
 def test_edge_list_comments(tmp_path):

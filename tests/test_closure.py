@@ -79,8 +79,15 @@ def test_complete_mode_depth_builds_nothing_per_layer():
 
 
 def test_failures_out_of_range():
-    with pytest.raises(sp.IndexOutOfRange):
-        compute_closure(sp.build_scheme(16, 1), frozenset({16}))
+    for n, ell in ((5, 1), (16, 1)):  # complete mode, then layered
+        scheme = sp.build_scheme(n, ell)
+        for bad in (-1, n, 2**70, -(2**70)):
+            for members in (frozenset({bad}), [0, bad]):
+                with pytest.raises(sp.IndexOutOfRange, match=f"vertex {bad} outside"):
+                    compute_closure(scheme, members)
+            if abs(bad) < 2**63:
+                with pytest.raises(sp.IndexOutOfRange, match=f"vertex {bad} outside"):
+                    compute_closure(scheme, np.array([0, bad], dtype=np.int64))
 
 
 def test_spec_bound_met_with_equality():
@@ -187,3 +194,10 @@ def test_dense_closure_matches_reference_property(inst):
     assert trace.failures == fs and len(trace.failures) == trace.f_size
     assert trace.f_star == per_layer[-1] and len(trace.f_star) == trace.f_star_size
     assert ((trace.joined >= 0) & (trace.joined <= ell + 1)).all()
+    # the same set as a list with repeated members, and as an int64 array
+    listed = sorted(fs, reverse=True)
+    listed += listed[::3]
+    for members in (listed, np.array(listed, dtype=np.int64)):
+        other = compute_closure(sp.build_scheme(n, ell), members)
+        assert np.array_equal(other.joined, trace.joined) and other.hits == trace.hits
+        assert (other.f_size, other.f_star_size) == (trace.f_size, trace.f_star_size)

@@ -70,9 +70,19 @@ def test_check_vertex_bounds():
 
 def test_check_failures():
     assert sp.check_failures([2, 0, 2], 3) == frozenset({0, 2})
+    assert sp.check_failures(np.array([2, 0, 2], dtype=np.int64), 3) == frozenset({0, 2})
     assert sp.check_failures([], 3) == frozenset()
-    with pytest.raises(sp.IndexOutOfRange):
-        sp.check_failures([3], 3)
+    for bad in (-1, 3, 2**70, -(2**70), -(2**63)):
+        # past int64 too: a ValueError naming the member, not an OverflowError
+        for members in ([0, bad], np.array([0, bad], dtype=object)):
+            with pytest.raises(sp.IndexOutOfRange, match=f"vertex {bad} outside"):
+                sp.check_failures(members, 3)
+        # a one-shot iterator cannot be read again to name the member
+        with pytest.raises(sp.IndexOutOfRange, match=r"outside \[0, 3\)"):
+            sp.check_failures((v for v in [0, bad]), 3)
+        if -(2**63) <= bad < 2**63:
+            with pytest.raises(sp.IndexOutOfRange, match=f"vertex {bad} outside"):
+                sp.check_failures(np.array([0, bad], dtype=np.int64), 3)
 
 
 def test_parse_points_comments_and_blanks():
@@ -91,8 +101,9 @@ def test_parse_failures():
     assert sp.parse_failures("1, 3,2", 5) == frozenset({1, 2, 3})
     assert sp.parse_failures("  # nothing\n", 5) == frozenset()
     assert sp.parse_failures("", 5) == frozenset()
-    with pytest.raises(sp.IndexOutOfRange):
-        sp.parse_failures("5", 5)
+    for bad in ("5", "-1", "0,-1180591620717411303424", "99999999999999999999"):
+        with pytest.raises(sp.IndexOutOfRange, match=f"vertex {int(bad.split(',')[-1])} "):
+            sp.parse_failures(bad, 5)
 
 
 def test_failures_file_round_trip(tmp_path):
