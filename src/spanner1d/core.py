@@ -68,10 +68,7 @@ class PointSet:
 
 def make_point_set(coords: Iterable[float]) -> PointSet:
     """Sort ``coords`` and wrap them; duplicates and empty input are errors."""
-    arr = np.asarray(list(coords), dtype=np.float64)
-    if arr.size == 0:
-        raise EmptyInput("a point set needs at least one coordinate")
-    return PointSet(np.sort(arr))
+    return PointSet(np.sort(np.asarray(list(coords), dtype=np.float64)))
 
 
 def check_vertex(n: int, v: int) -> int:

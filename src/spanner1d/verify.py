@@ -18,8 +18,10 @@ checked first, in ``O(n + E)``: most by a direct edge, the rest by the
 sweep run on the range between the two targets. When every link holds,
 every target pair is exact and no full sweep runs. Only when a link
 breaks does the sweep run on all vertices, to name the missing pairs.
-The exhaustive check and the oracle read its rows as they are; only a
-sampled check packs them into a byte matrix.
+Both pair checks, exhaustive and sampled, scan its rows once from the
+top target down, each under the mask of the targets above it; a sampled
+check then reads the bits of only the pairs whose row misses a target.
+The oracle reads its bits straight off the rows.
 
 The oracle certifies exactness on a directed copy of the alive edges,
 each pointing from its smaller to its larger coordinate, before any
@@ -125,29 +127,6 @@ def _forward_reach(graph: SpannerGraph, alive, lo: int = 0, hi: int | None = Non
         t = (r | dead) >> x
         top[x] = x + (t ^ (t + 1)).bit_length() - 2
     return reach
-
-
-# bytes of packed rows converted per step: bounds the ints alive at once
-_PACK_CHUNK_BYTES = 1 << 22
-
-
-def _pack_reach(reach: list) -> np.ndarray:
-    """The ``n``-bit rows of ``reach`` packed little-endian into a new matrix.
-
-    Bit ``y`` of row ``x`` lands in byte ``y >> 3`` of matrix row ``x``,
-    at bit ``y & 7``. Rows are converted a bounded chunk at a time, and
-    each chunk's ints are dropped from ``reach`` once packed, so the ints
-    and the matrix are never both held in full.
-    """
-    n, n_bytes = len(reach), (len(reach) + 7) // 8
-    out = np.empty((n, n_bytes), np.uint8)
-    step = max(1, _PACK_CHUNK_BYTES // n_bytes)
-    for lo in range(0, n, step):
-        hi = min(lo + step, n)
-        chunk = b"".join([r.to_bytes(n_bytes, "little") for r in reach[lo:hi]])
-        out[lo:hi] = np.frombuffer(chunk, dtype=np.uint8).reshape(hi - lo, n_bytes)
-        reach[lo:hi] = [0] * (hi - lo)
-    return out
 
 
 def _alive_edges(graph: SpannerGraph, dead: np.ndarray) -> np.ndarray:
@@ -358,24 +337,37 @@ def _price_exact(ps: PointSet, forward, oracle, pairs, trusted):
     return lengths, exact
 
 
-def _check_pairs_exhaustive(reach: list, targets: list):
-    """Scan all target pairs on the bigint rows; returns (pairs, exact, missing_pairs).
+def _check_pairs(reach: list, targets: list, xs=None, ys=None):
+    """(pairs, exact, missing) of all target pairs, or of the sample ``(xs, ys)`` of them.
 
-    Targets are walked downwards, and row ``x`` is read only under the mask
-    of the targets above it, so its own bit and anything below never count.
-    Missing pairs come in descending ``x``, then ascending ``y``.
+    One scan walks the targets downwards and reads row ``x`` only under the
+    mask of the targets above it, so its own bit and anything below never
+    count; a row that misses none of them has every pair it heads exact.
+    With no sample every miss is listed, in descending ``x``, then
+    ascending ``y``. With one, the rows that miss a target are flagged, and
+    only the pairs whose ``x`` is flagged have their bit read; missing
+    pairs keep sample order.
     """
-    exact = above = 0
-    missing = []
+    above, flagged, missing = 0, [], []
     for x in reversed(targets):
-        exact += (reach[x] & above).bit_count()
         gone = above & ~reach[x]
+        above |= 1 << x
+        if gone and xs is not None:
+            flagged.append(x)
+            continue
         while gone:
             low = gone & -gone
             missing.append((x, low.bit_length() - 1))
             gone ^= low
-        above |= 1 << x
-    return len(targets) * (len(targets) - 1) // 2, exact, missing
+    if xs is None:
+        pairs = len(targets) * (len(targets) - 1) // 2
+        return pairs, pairs - len(missing), missing
+    rows = np.zeros(len(reach), dtype=bool)
+    rows[flagged] = True
+    read = np.flatnonzero(rows[xs])
+    hit = np.ones(len(xs), dtype=bool)
+    hit[read] = [(reach[x] >> y) & 1 for x, y in zip(xs[read].tolist(), ys[read].tolist())]
+    return len(xs), int(hit.sum()), list(zip(xs[~hit].tolist(), ys[~hit].tolist()))
 
 
 def verify_robust_spanner(
@@ -397,16 +389,16 @@ def verify_robust_spanner(
     pairs, are drawn first. The links between consecutive targets are
     checked next: when all hold, every checked pair is exact, every
     oracle pair is monotone, and no reach sweep runs. Only when a link
-    breaks does the sweep run, drawing nothing. The
-    exhaustive check scans the sweep's bigint rows, each under the mask of
-    the targets above its vertex. A sampled check packs the rows into one
-    ``(n, ceil(n / 8))`` uint8 matrix, bit ``y`` of row ``x`` set when an
-    index-monotone alive path joins ``x`` to ``y > x``, and looks its index
-    arrays up in one vectorised step. Only missing pairs become tuples, and
-    only the first 512 of them are priced: the rest are reported with a
-    null length, which the JSON report cannot tell apart from an
-    unreachable pair. The strong variant deletes the whole ignored set and
-    checks the links again: it holds when they all hold, and an
+    breaks does the sweep run, drawing nothing. Both checks scan the
+    sweep's bigint rows once, each under the mask of the targets above its
+    vertex, bit ``y`` of row ``x`` set when an index-monotone alive path
+    joins ``x`` to ``y > x``. The exhaustive check lists every missing bit;
+    a sampled check flags the rows that miss a target and reads the bit of
+    only the sampled pairs whose ``x`` is flagged. Only missing pairs
+    become tuples, and only the first 512 of them are priced: the rest are
+    reported with a null length, which the JSON report cannot tell apart
+    from an unreachable pair. The strong variant deletes the whole ignored
+    set and checks the links again: it holds when they all hold, and an
     exhaustive check fails on a broken one. Only a sampled check with a
     broken link sweeps, since its sample may miss the pairs the link cuts.
     When the closure adds nothing to the failures, the strong variant
@@ -449,7 +441,8 @@ def verify_robust_spanner(
     rng = np.random.default_rng(seed)
 
     exhaustive = n <= exhaustive_limit
-    xs = ys = np.empty(0, dtype=np.int64)
+    # the exhaustive check takes no sample
+    xs = ys = None if exhaustive else np.empty(0, dtype=np.int64)
     if not exhaustive and len(targets) >= 2:
         xs, ys = _sample_pairs(rng, targets, pair_sample)
     sample = []
@@ -457,19 +450,10 @@ def verify_robust_spanner(
         oxs, oys = _sample_pairs(rng, targets, min(oracle_sample, 4 * len(targets)))
         sample = list(zip(oxs.tolist(), oys.tolist()))
 
-    def check(reach):
-        """(pairs, exact, missing) of the checked pairs; only missing ones become tuples."""
-        if exhaustive:
-            return _check_pairs_exhaustive(reach, targets.tolist())
-        packed = _pack_reach(reach)
-        hit = ((packed[xs, ys >> 3] >> (ys & 7).astype(np.uint8)) & 1).astype(bool)
-        return len(xs), int(hit.sum()), list(zip(xs[~hit].tolist(), ys[~hit].tolist()))
-
     if _broken_links(graph, alive, targets):
         reach = _forward_reach(graph, alive)
-        # read before the check, whose packing drops the rows
         monotone = [bool((reach[x] >> y) & 1) for x, y in sample]
-        pairs_checked, exact_pairs, missing = check(reach)
+        pairs_checked, exact_pairs, missing = _check_pairs(reach, targets.tolist(), xs, ys)
         del reach
     else:
         # every link holds, so every pair of targets is joined
@@ -522,7 +506,8 @@ def verify_robust_spanner(
             # a broken link fails some target pair, and only a sample can miss it
             strong_ok = not _broken_links(graph, alive2, targets)
             if not strong_ok and not exhaustive:
-                pairs2, exact2, _ = check(_forward_reach(graph, alive2))
+                reach2 = _forward_reach(graph, alive2)
+                pairs2, exact2, _ = _check_pairs(reach2, targets.tolist(), xs, ys)
                 strong_ok = exact2 == pairs2
 
     return VerificationReport(

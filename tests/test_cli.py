@@ -91,6 +91,19 @@ def test_verify_flags_tampered_edge_list(tmp_path, capsys):
     assert "FAIL" in text and "(3, 4)" in text
 
 
+def test_verify_lists_ten_violations_then_a_count(tmp_path, capsys):
+    out = tmp_path / "g"
+    main(["build", "--n", "16", "--ell", "1", "--out", str(out)])
+    edges = tmp_path / "g.edges"
+    # vertex 8 loses every edge, so its 15 pairs have no path
+    kept = [ln for ln in edges.read_text().splitlines() if "8" not in ln.split()]
+    edges.write_text("\n".join(kept) + "\n")
+    assert main(["verify", "--graph", str(out)]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert sum(ln.startswith("  violation: pair") for ln in lines) == 10
+    assert "  ... 5 more" in lines
+
+
 def test_verify_rejects_corrupted_edge_list(tmp_path, capsys):
     out = tmp_path / "g"
     main(["build", "--n", "16", "--ell", "1", "--out", str(out)])
@@ -198,6 +211,22 @@ def test_verify_failure_model_flags(tmp_path, capsys):
     assert main(["verify", "--n", "64", "--ell", "1", "--wipe-interval", "10:20"]) == 0
     assert main(["verify", "--n", "64", "--ell", "1", "--wipe-half", "5:1"]) == 2
     assert main(["verify", "--n", "64", "--ell", "1", "--wipe-interval", "bad"]) == 2
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--wipe-half", "1:999"], "half ordinal 999 out of range 1..72 at layer 1"),
+        (["--wipe-interval", "9:3"], "bad interval [9, 3) for n=216"),
+        (["--random-k", "999"], "need 0 <= k <= n, got k=999, n=216"),
+    ],
+)
+def test_verify_rejects_failures_outside_the_stored_graph(tmp_path, capsys, flags, message):
+    out = tmp_path / "g216"
+    assert main(["build", "--n", "216", "--ell", "2", "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert main(["verify", "--graph", str(out), *flags]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_verify_rejects_negative_samples(capsys):

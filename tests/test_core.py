@@ -23,8 +23,13 @@ def test_duplicates_rejected():
 
 
 def test_empty_rejected():
-    with pytest.raises(sp.EmptyInput):
+    with pytest.raises(sp.EmptyInput, match="at least one coordinate"):
         sp.make_point_set([])
+
+
+def test_unknown_point_model_rejected():
+    with pytest.raises(ValueError, match="unknown point model 'bogus'"):
+        sp.generate_points(8, "bogus", 0)
 
 
 def test_unsorted_constructor_input_rejected():

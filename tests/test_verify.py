@@ -16,9 +16,8 @@ from spanner1d import verify
 from spanner1d.verify import (
     ORACLE_RELATIVE_TOLERANCE,
     _broken_links,
-    _check_pairs_exhaustive,
+    _check_pairs,
     _forward_reach,
-    _pack_reach,
     _sample_pairs,
 )
 
@@ -108,6 +107,17 @@ def test_oracle_reports_unreachable():
     g, ps = path_graph()
     lengths = sp.brute_force_oracle(g, ps, frozenset({1}))
     assert math.isinf(lengths[(0, 2)])
+
+
+def test_oracle_rejects_a_point_set_of_another_size():
+    g, _ = path_graph()
+    with pytest.raises(sp.SchemeMismatch, match="graph n=3 vs point set n=4"):
+        sp.brute_force_oracle(g, sp.make_point_set([0.0, 1.0, 2.0, 3.0]), frozenset())
+
+
+def test_oracle_with_every_vertex_failed_is_empty():
+    g, ps = path_graph()
+    assert sp.brute_force_oracle(g, ps, frozenset({0, 1, 2})) == {}
 
 
 def test_oracle_size_guard():
@@ -595,6 +605,26 @@ def loop_sample_pairs(rng, pool, count):
     return pairs
 
 
+def checked_reach(n, ell, drop, seed, flips):
+    """Full reach rows and targets of a spanner with dropped edges and random failures.
+
+    Edges are dropped so pairs go missing, and per ``flips`` no, some or all
+    rows are inverted, which sets bits below each row's own vertex and
+    clears its own bit. The rng is returned for reuse.
+    """
+    ps = sp.generate_points(n, "uniform", seed)
+    scheme = sp.build_scheme(n, ell)
+    g = sp.build_spanner(ps, scheme)
+    rng = np.random.default_rng(seed)
+    g = sp.SpannerGraph(n, g.edges[rng.random(g.edge_count) >= drop])
+    fs = frozenset(rng.choice(n, size=int(rng.integers(0, n // 4 + 1)), replace=False).tolist())
+    f_star = sp.compute_closure(scheme, fs).f_star
+    targets = [v for v in range(n) if v not in f_star]
+    rows = {"none": [], "some": rng.choice(n, size=min(n, 3), replace=False).tolist(),
+            "all": range(n)}[flips]
+    return flipped_reach(rows)(g, [v not in fs for v in range(n)]), targets, rng
+
+
 def pairwise_check_pairs_exhaustive(reach, targets):
     """Each target pair's own bit; missing pairs in descending ``x``, then ascending ``y``."""
     pairs = exact = 0
@@ -629,26 +659,6 @@ def test_sample_pairs_matches_loop_reference(t, count, seed):
     assert rng_new.bit_generator.state == rng_old.bit_generator.state
 
 
-def test_pack_reach_is_little_endian():
-    reach = [0b1011, 1 << 9, 0, (1 << 10) - 1, 1 << 7] + [0] * 5
-    rows = _pack_reach(list(reach))
-    assert rows.shape == (10, 2)
-    assert rows[:5, 0].tolist() == [0b1011, 0, 0, 0xFF, 0x80]
-    assert rows[:5, 1].tolist() == [0, 0b10, 0, 0b11, 0]
-    bits = np.unpackbits(rows, axis=1, bitorder="little")[:, :10]
-    assert [sum(1 << y for y in np.flatnonzero(row)) for row in bits] == reach
-
-
-def test_pack_reach_chunks_release_rows(monkeypatch):
-    monkeypatch.setattr(verify, "_PACK_CHUNK_BYTES", 3)
-    reach = [(1 << y) | 1 for y in range(20)]
-    rows = _pack_reach(reach)
-    assert rows.shape == (20, 3)
-    assert reach == [0] * 20
-    for y in range(20):
-        assert rows[y, y >> 3] >> (y & 7) & 1 and rows[y, 0] & 1
-
-
 @settings(max_examples=60, deadline=None)
 @given(
     n=st.integers(min_value=2, max_value=140),
@@ -660,30 +670,46 @@ def test_pack_reach_chunks_release_rows(monkeypatch):
 @example(n=77, ell=2, drop=0.57, seed=1, flips="all")
 @example(n=9, ell=1, drop=0.5, seed=2, flips="some")
 def test_exhaustive_count_matches_bigint_reference(n, ell, drop, seed, flips):
-    """Counts and missing pairs, in order, agree with a per-pair bit test.
-
-    Edges are dropped so pairs go missing, and reach rows may be inverted,
-    which sets bits below each row's own vertex and clears its own bit.
-    """
-    ps = sp.generate_points(n, "uniform", seed)
-    scheme = sp.build_scheme(n, ell)
-    g = sp.build_spanner(ps, scheme)
-    rng = np.random.default_rng(seed)
-    g = sp.SpannerGraph(n, g.edges[rng.random(g.edge_count) >= drop])
-    fs = frozenset(rng.choice(n, size=int(rng.integers(0, n // 4 + 1)), replace=False).tolist())
-    f_star = sp.compute_closure(scheme, fs).f_star
-    targets = [v for v in range(n) if v not in f_star]
-    rows = {"none": [], "some": rng.choice(n, size=min(n, 3), replace=False).tolist(),
-            "all": range(n)}[flips]
-    reach = flipped_reach(rows)(g, [v not in fs for v in range(n)])
+    """Counts and missing pairs, in order, agree with a per-pair bit test."""
+    reach, targets, _ = checked_reach(n, ell, drop, seed, flips)
     want = pairwise_check_pairs_exhaustive(reach, targets)
-    assert _check_pairs_exhaustive(reach, targets) == want
+    assert _check_pairs(reach, targets) == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(min_value=2, max_value=140),
+    ell=st.integers(min_value=1, max_value=2),
+    drop=st.floats(min_value=0.0, max_value=0.6),
+    seed=st.integers(min_value=0, max_value=2**16),
+    flips=st.sampled_from(["none", "some", "all"]),
+    count=st.sampled_from([1, 30, 2000]),
+    repeats=st.integers(min_value=0, max_value=40),
+)
+@example(n=77, ell=2, drop=0.57, seed=1, flips="all", count=2000, repeats=40)
+@example(n=90, ell=2, drop=0.3, seed=0, flips="none", count=2000, repeats=10)  # rows as swept
+def test_sampled_check_matches_per_pair_bits_property(n, ell, drop, seed, flips, count, repeats):
+    """Counts and missing pairs, in sample order, agree with each sampled pair's own bit.
+
+    The sample ends with some of its pairs again, so a pair counts as often
+    as it is drawn. Dropped edges and flipped rows make many rows miss a
+    target, so a check that reads only some of the flagged rows fails.
+    """
+    reach, targets, rng = checked_reach(n, ell, drop, seed, flips)
+    pool = np.array(targets, dtype=np.int64)
+    xs = ys = pool[:0]
+    if len(pool) >= 2:
+        xs, ys = _sample_pairs(rng, pool, count)
+    xs, ys = (np.concatenate([a, a[::-1][:repeats]]) for a in (xs, ys))
+    hit = [(reach[x] >> y) & 1 for x, y in zip(xs.tolist(), ys.tolist())]
+    missing = [(x, y) for x, y, h in zip(xs.tolist(), ys.tolist(), hit) if not h]
+    assert _check_pairs(reach, targets, xs, ys) == (len(xs), sum(hit), missing)
 
 
 def test_exhaustive_missing_pairs_order():
     # three isolated vertices: every pair is missing
     reach = [1, 2, 4, 8]
-    pairs, exact, missing = _check_pairs_exhaustive(reach, [0, 1, 2, 3])
+    pairs, exact, missing = _check_pairs(reach, [0, 1, 2, 3])
     assert (pairs, exact) == (6, 0)
     assert missing == [(2, 3), (1, 2), (1, 3), (0, 1), (0, 2), (0, 3)]
 
@@ -749,19 +775,20 @@ def test_strong_pass_sweeps_only_when_the_closure_grows(instance, cut, fs, exhau
     f_star = sp.compute_closure(scheme, fs).f_star
     targets = [v for v in range(64) if v not in f_star]
     kwargs = dict(exhaustive_limit=exhaustive_limit, pair_sample=2000, seed=1)
-    links, calls, packs = [], [], []
+    links, calls, sampled = [], [], []
 
     def counted_links(graph, alive, targets):
         links.append(alive)
         return _broken_links(graph, alive, targets)
 
-    def counted_pack(reach):
-        packs.append(len(reach))
-        return _pack_reach(reach)
+    def counted_check(reach, targets, xs=None, ys=None):
+        if xs is not None:
+            sampled.append(len(xs))
+        return _check_pairs(reach, targets, xs, ys)
 
     with mock.patch.object(verify, "_broken_links", counted_links), \
             mock.patch.object(verify, "_forward_reach", full_width_spy(calls)), \
-            mock.patch.object(verify, "_pack_reach", counted_pack):
+            mock.patch.object(verify, "_check_pairs", counted_check):
         rep = sp.verify_robust_spanner(g, ps, scheme, fs, **kwargs)
     alive, alive2 = ([v not in r for v in range(64)] for r in (fs, f_star))
     assert links == ([alive] if f_star == fs else [alive, alive2])
@@ -772,8 +799,8 @@ def test_strong_pass_sweeps_only_when_the_closure_grows(instance, cut, fs, exhau
     if not cut:
         # an intact spanner's first pass holds on its links alone
         assert alive not in calls
-    # only a sampled check packs the rows, once per sweep
-    assert len(packs) == (0 if exhaustive_limit else len(calls))
+    # a sampled check runs once per sweep; an exhaustive verify runs none
+    assert len(sampled) == (0 if exhaustive_limit else len(calls))
     want = strong_reference(g, f_star, exhaustive_limit > 0, 1, 2000)
     base = sp.verify_robust_spanner(g, ps, scheme, fs, strong_check=False, **kwargs)
     assert rep.to_json() == dataclasses.replace(base, strong_variant_ok=want).to_json()
@@ -795,7 +822,7 @@ def refuse_sweep(*args):
 def test_intact_spanner_is_decided_by_its_links(
     instance, n, k, seed, exhaustive_limit, grows, strong
 ):
-    """Every first-pass link of an intact spanner holds: no full-width sweep, no packing.
+    """Every first-pass link of an intact spanner holds: no full-width sweep, no pair check.
 
     At n = 1024 the closure adds nothing, so the strong pass takes the first
     pass's verdict. At n = 216 it grows, and the strong pass reads its
@@ -808,7 +835,7 @@ def test_intact_spanner_is_decided_by_its_links(
     assert (f_star != fs) is grows
     full = []
     with mock.patch.object(verify, "_forward_reach", full_width_spy(full)), \
-            mock.patch.object(verify, "_pack_reach", refuse_sweep):
+            mock.patch.object(verify, "_check_pairs", refuse_sweep):
         rep = sp.verify_robust_spanner(
             g, ps, scheme, fs, exhaustive_limit=exhaustive_limit, seed=1
         )
@@ -854,7 +881,7 @@ def test_no_broken_link_iff_the_full_scan_is_exact_property(n, ell, model, drop,
     for removed in (fs, f_star):
         alive = [v not in removed for v in range(n)]
         reach = _forward_reach(g, alive)
-        pairs, exact, _ = _check_pairs_exhaustive(reach, targets)
+        pairs, exact, _ = _check_pairs(reach, targets)
         broken = _broken_links(g, alive, np.array(targets, dtype=np.int64))
         assert (not broken) == (exact == pairs)
         assert broken == [(x, y) for x, y in zip(targets, targets[1:]) if not (reach[x] >> y) & 1]
