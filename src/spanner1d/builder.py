@@ -24,6 +24,10 @@ from .core import PointSet
 from .scheme import LayeredScheme
 
 
+# rows per write in write_edge_list
+_WRITE_ROWS = 1 << 16
+
+
 class SchemeMismatch(ValueError):
     """A graph, point set, or scheme disagree on the number of vertices."""
 
@@ -162,11 +166,17 @@ def edge_count_bound(n: int, ell: int) -> float:
 
 
 def write_edge_list(graph: SpannerGraph, path: str | Path) -> None:
-    """One ``u v`` pair per line, sorted; blank lines and # comments allowed."""
-    n = graph.n
+    """One ``u v`` pair per line, sorted; blank lines and # comments allowed.
+
+    Rows are written ``_WRITE_ROWS`` at a time, so the temporaries stay the
+    size of one chunk whatever the edge count.
+    """
+    n, edges = graph.n, graph.edges
     # word v reads "v " and word n + v reads "v\n", so edge (u, v) picks words u and n + v
     words = np.array([f"{v} " for v in range(n)] + [f"{v}\n" for v in range(n)], dtype=object)
-    Path(path).write_text("".join(words[graph.edges + [0, n]].ravel().tolist()))
+    with Path(path).open("w") as out:
+        for i in range(0, len(edges), _WRITE_ROWS):
+            out.write("".join(words[edges[i : i + _WRITE_ROWS] + [0, n]].ravel().tolist()))
 
 
 def read_edge_list(path: str | Path, n: int | None = None) -> SpannerGraph:

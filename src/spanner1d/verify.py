@@ -26,10 +26,15 @@ The oracle reads its bits straight off the rows.
 The oracle certifies exactness on a directed copy of the alive edges,
 each pointing from its smaller to its larger coordinate, before any
 full search: a path in the copy never backtracks, so it has the gap as
-its length up to rounding, and one depth-first path search per pair
-suffices. The searches of one verify share a budget of one examination
-per alive edge; pairs left uncertified are searched on the whole alive
-graph, whose matrix is built only when some pair needs it. Sampled pairs
+its length up to rounding, and one path per pair suffices. A search
+tries first the head with the largest coordinate not past its goal, so
+the first branch of every pair's search is walked for all pairs at once,
+one ``searchsorted`` in the copy's sorted keys per step. The searches of
+one verify share a budget of one examination per alive edge, replayed in
+pair order: a walk of ``h`` hops costs ``h``. A depth-first search runs
+only for a pair whose first branch dead-ends, to back out of it. Pairs
+left uncertified are searched on the whole alive graph, whose matrix is
+built only when some pair needs it. Sampled pairs
 and ignored-set stretch pairs are priced this one way, and a stretch
 pair that passes the oracle's tolerance test has stretch exactly 1. The
 copy is built from the edge array and the coordinates alone, never from
@@ -133,7 +138,8 @@ def _alive_edges(graph: SpannerGraph, dead: np.ndarray) -> np.ndarray:
     """The (E, 2) edges with neither endpoint marked in the boolean mask ``dead``."""
     edges = graph.edges
     if dead.any():
-        edges = edges[~(dead[edges[:, 0]] | dead[edges[:, 1]])]
+        # the rows of a boolean row index, several times faster
+        edges = np.compress(~(dead[edges[:, 0]] | dead[edges[:, 1]]), edges, axis=0)
     return edges
 
 
@@ -154,9 +160,11 @@ def _forward_rows(ps: PointSet, edges: np.ndarray):
     """The alive ``edges`` pointed up the line, as rows ordered by coordinate.
 
     An edge runs from its smaller to its larger coordinate. Returns
-    ``(indptr, heads)``: ``heads[indptr[v]:indptr[v + 1]]`` lists the heads
-    of v's edges in increasing coordinate. Direction and order are read off
-    the coordinates alone, never off vertex indices.
+    ``(indptr, heads, keys, rank)``: ``rank[v]`` is v's place in coordinate
+    order, ``heads[indptr[v]:indptr[v + 1]]`` lists the heads of v's edges
+    in increasing coordinate, and ``keys`` holds ``tail * n + rank[head]``
+    per head, sorted. Direction and order are read off the coordinates
+    alone, never off vertex indices.
     """
     n = ps.n
     ends = ps.coords[edges]
@@ -165,11 +173,12 @@ def _forward_rows(ps: PointSet, edges: np.ndarray):
     head = np.where(up, edges[:, 1], edges[:, 0])
     rank = np.empty(n, dtype=np.int64)
     rank[np.argsort(ps.coords, kind="stable")] = np.arange(n)
+    keys = tail * n + rank[head]
     # edges arrive sorted, so this stable sort runs on near-sorted keys
-    order = np.argsort(tail * n + rank[head], kind="stable")
+    order = np.argsort(keys, kind="stable")
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(tail, minlength=n), out=indptr[1:])
-    return indptr, head[order]
+    return indptr, head[order], keys[order], rank
 
 
 def brute_force_oracle(
@@ -267,29 +276,62 @@ def _price_pairs(mat, pairs):
 def _price_forward(ps: PointSet, forward, pairs):
     """Length of one path per pair on the ``_forward_rows`` copy that never backtracks, or inf.
 
-    Each pair is searched depth first on ``forward``, from its endpoint
-    with the smaller coordinate, trying the head with the largest
-    coordinate not past the other endpoint first and never passing it.
-    Every such path has the gap as its length, up to rounding, so any one
-    will do; the length is summed along it in path order. All pairs share
-    one budget of edge examinations, the number of alive edges: a pair
-    still searching when it runs out reads inf, as does every later one.
+    Each pair is searched from its endpoint with the smaller coordinate,
+    trying the head with the largest coordinate not past the other
+    endpoint, its goal, first and never passing it. Every such path has
+    the gap as its length, up to rounding, so any one will do; the length
+    is summed along it in path order. All pairs share one budget of edge
+    examinations, the number of alive edges: a pair still searching when
+    it runs out reads inf, as does every later one.
+
+    The first branch of every search is walked for all pairs at once: a
+    step from ``v`` takes the last sorted key at or below
+    ``v * n + rank[goal]``, which is v's first head to try when it lies in
+    v's row. A walk that reaches its goal took one examination per hop.
+    The budget is then replayed in pair order: a walk of ``h`` hops keeps
+    its length when ``h`` examinations are left and spends them, and
+    otherwise reads inf and spends them all. Only a pair whose first
+    branch dead-ends is searched depth first, in its place in the order,
+    to back out of the dead end.
     """
-    indptr, heads = forward
-    c = ps.coords.tolist()
-    rows = [None] * len(c)  # a row becomes a list when first entered
+    indptr, heads, keys, rank = forward
+    n, c = len(rank), ps.coords
+    ends = np.array(pairs, dtype=np.int64).reshape(-1, 2)
+    rising = c[ends[:, 0]] < c[ends[:, 1]]
+    src = np.where(rising, ends[:, 0], ends[:, 1])
+    goal = np.where(rising, ends[:, 1], ends[:, 0])
+
+    length = np.zeros(len(ends))
+    hops = np.zeros(len(ends), dtype=np.int64)
+    stuck = np.zeros(len(ends), dtype=bool)
+    at, walking = src.copy(), np.arange(len(ends))
+    while walking.size:
+        v, to = at[walking], goal[walking]
+        i = np.searchsorted(keys, v * n + rank[to], side="right") - 1
+        step = i >= indptr[v]
+        stuck[walking[~step]] = True
+        walking, v, to, w = walking[step], v[step], to[step], heads[i[step]]
+        length[walking] += np.abs(c[w] - c[v])
+        hops[walking] += 1
+        at[walking] = w
+        walking = walking[w != to]
+
     budget = len(heads)
+    if stuck.any():
+        # only the depth-first search reads these
+        cs = c.tolist()
+        rows = [None] * n  # a row becomes a list when first entered
 
     def below(v, top):
         """v's heads not past ``top``, largest coordinate first."""
         r = rows[v]
         if r is None:
             r = rows[v] = heads[indptr[v] : indptr[v + 1]].tolist()
-        return reversed(r[: bisect_right(r, top, key=c.__getitem__)])
+        return reversed(r[: bisect_right(r, top, key=cs.__getitem__)])
 
     def search(x, y):
         nonlocal budget
-        top = c[y]
+        top = cs[y]
         seen = {x}
         # a frame is a vertex, the length to it and its heads left to try
         stack = [(x, 0.0, below(x, top))]
@@ -300,21 +342,30 @@ def _price_forward(ps: PointSet, forward, pairs):
                     return math.inf
                 budget -= 1
                 if w == y:
-                    return d + abs(c[w] - c[v])
+                    return d + abs(cs[w] - cs[v])
                 if w not in seen:
                     seen.add(w)
-                    stack.append((w, d + abs(c[w] - c[v]), below(w, top)))
+                    stack.append((w, d + abs(cs[w] - cs[v]), below(w, top)))
                     break
             else:
                 stack.pop()
         return math.inf
 
-    return [search(x, y) if c[x] < c[y] else search(y, x) for x, y in pairs]
+    out = length.tolist()
+    walks = zip(src.tolist(), goal.tolist(), hops.tolist(), stuck.tolist())
+    for p, (x, y, h, dead) in enumerate(walks):
+        if dead:
+            out[p] = search(x, y)
+        elif h <= budget:
+            budget -= h
+        else:
+            out[p], budget = math.inf, 0
+    return out
 
 
-def _within_tolerance(found: float, want: float) -> bool:
-    """The oracle's exactness test: finite and within 1e-12 of the gap, relatively."""
-    return math.isfinite(found) and abs(found - want) <= ORACLE_RELATIVE_TOLERANCE * want
+def _within_tolerance(found, want):
+    """The oracle's exactness test, elementwise: finite and within 1e-12 of the gap, relatively."""
+    return np.isfinite(found) & (np.abs(found - want) <= ORACLE_RELATIVE_TOLERANCE * want)
 
 
 def _price_exact(ps: PointSet, forward, oracle, pairs, trusted):
@@ -325,16 +376,15 @@ def _price_exact(ps: PointSet, forward, oracle, pairs, trusted):
     priced again on the full alive graph ``oracle()`` without a bound, in
     one call.
     """
-    c = ps.coords.tolist()
-    wants = [abs(c[y] - c[x]) for x, y in pairs]
-    lengths = _price_forward(ps, forward, pairs)
-    exact = [_within_tolerance(d, want) for d, want in zip(lengths, wants)]
-    full = [i for i, (ok, trust) in enumerate(zip(exact, trusted)) if not (ok and trust)]
-    if full:
-        for i, d in zip(full, _price_pairs(oracle(), [pairs[i] for i in full])):
-            lengths[i] = d
-            exact[i] = exact[i] or _within_tolerance(d, wants[i])
-    return lengths, exact
+    ends = np.array(pairs, dtype=np.int64).reshape(-1, 2)
+    wants = np.abs(ps.coords[ends[:, 1]] - ps.coords[ends[:, 0]])
+    lengths = np.array(_price_forward(ps, forward, pairs))
+    exact = _within_tolerance(lengths, wants)
+    full = np.flatnonzero(~(exact & np.array(trusted, dtype=bool)))
+    if full.size:
+        lengths[full] = _price_pairs(oracle(), [pairs[i] for i in full.tolist()])
+        exact[full] |= _within_tolerance(lengths[full], wants[full])
+    return lengths.tolist(), exact.tolist()
 
 
 def _check_pairs(reach: list, targets: list, xs=None, ys=None):
@@ -385,13 +435,15 @@ def verify_robust_spanner(
     """Check that survivors outside the ignored set keep exact paths.
 
     All pairs are checked when n <= exhaustive_limit, otherwise
-    ``pair_sample`` seeded random pairs. Both samples, pairs and oracle
-    pairs, are drawn first. The links between consecutive targets are
-    checked next: when all hold, every checked pair is exact, every
-    oracle pair is monotone, and no reach sweep runs. Only when a link
-    breaks does the sweep run, drawing nothing. Both checks scan the
-    sweep's bigint rows once, each under the mask of the targets above its
-    vertex, bit ``y`` of row ``x`` set when an index-monotone alive path
+    ``pair_sample`` seeded random pairs, drawn when a check first reads
+    them but always before the oracle pairs, so the seeded stream is the
+    same either way. The links between consecutive targets are
+    checked first: when all hold, every checked pair is exact, every
+    oracle pair is monotone, no reach sweep runs and, with the oracle off,
+    no pair is drawn. Only when a link breaks does the sweep run. Both
+    checks scan the sweep's bigint rows once, each under the mask of the
+    targets above its vertex, bit ``y`` of row ``x`` set when an
+    index-monotone alive path
     joins ``x`` to ``y > x``. The exhaustive check lists every missing bit;
     a sampled check flags the rows that miss a target and reads the bit of
     only the sampled pairs whose ``x`` is flagged. Only missing pairs
@@ -406,10 +458,12 @@ def verify_robust_spanner(
 
     ``oracle_sample`` pairs are additionally priced by the numeric oracle
     and must agree with the monotone criterion to within a 1e-12 relative
-    tolerance. Each pair is first searched depth first on a
-    coordinate-oriented copy of the alive edges, from its left endpoint and
-    never past its right one; a forward path within tolerance certifies it.
-    The searches share a budget of one edge examination per alive edge.
+    tolerance. Each pair is first searched on a coordinate-oriented copy
+    of the alive edges, from its left endpoint and never past its right
+    one; a forward path within tolerance certifies it. The searches of all
+    pairs take their first branch together, and only a pair whose branch
+    dead-ends is searched depth first; they share a budget of one edge
+    examination per alive edge.
     The copy comes from the edge array and the coordinates, not from the
     links or the reach, so the two checks stay independent. Uncertified
     pairs, and certified pairs the reach denies, are priced on the full
@@ -441,24 +495,28 @@ def verify_robust_spanner(
     rng = np.random.default_rng(seed)
 
     exhaustive = n <= exhaustive_limit
-    # the exhaustive check takes no sample
-    xs = ys = None if exhaustive else np.empty(0, dtype=np.int64)
-    if not exhaustive and len(targets) >= 2:
-        xs, ys = _sample_pairs(rng, targets, pair_sample)
+    count = pair_sample if len(targets) >= 2 else 0
+    # the sampled check's pairs, drawn when first read, and always before the
+    # oracle's, so no report depends on whether a check reads them; the
+    # exhaustive check takes no sample
+    sampled = functools.cache(
+        lambda: (None, None) if exhaustive else _sample_pairs(rng, targets, count)
+    )
     sample = []
     if oracle_sample > 0 and len(targets) >= 2:
+        sampled()
         oxs, oys = _sample_pairs(rng, targets, min(oracle_sample, 4 * len(targets)))
         sample = list(zip(oxs.tolist(), oys.tolist()))
 
     if _broken_links(graph, alive, targets):
         reach = _forward_reach(graph, alive)
         monotone = [bool((reach[x] >> y) & 1) for x, y in sample]
-        pairs_checked, exact_pairs, missing = _check_pairs(reach, targets.tolist(), xs, ys)
+        pairs_checked, exact_pairs, missing = _check_pairs(reach, targets.tolist(), *sampled())
         del reach
     else:
         # every link holds, so every pair of targets is joined
         monotone = [True] * len(sample)
-        pairs_checked = len(targets) * (len(targets) - 1) // 2 if exhaustive else len(xs)
+        pairs_checked = len(targets) * (len(targets) - 1) // 2 if exhaustive else count
         exact_pairs, missing = pairs_checked, []
 
     # one alive filter and one forward copy for the whole oracle; the full
@@ -507,7 +565,7 @@ def verify_robust_spanner(
             strong_ok = not _broken_links(graph, alive2, targets)
             if not strong_ok and not exhaustive:
                 reach2 = _forward_reach(graph, alive2)
-                pairs2, exact2, _ = _check_pairs(reach2, targets.tolist(), xs, ys)
+                pairs2, exact2, _ = _check_pairs(reach2, targets.tolist(), *sampled())
                 strong_ok = exact2 == pairs2
 
     return VerificationReport(

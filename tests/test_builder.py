@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 import spanner1d as sp
 from reference_simple import simple_layers, simple_spanner_edges
+from spanner1d import builder
 
 # exact deduplicated counts, pinned; single layer follows 14m^3 - 9m^2 + m
 GOLDEN_COUNTS = {
@@ -220,6 +221,21 @@ def test_edge_list_exact_bytes(tmp_path, instance):
         sp.write_edge_list(g, path)
         want = ("%d %d\n" * g.edge_count) % tuple(g.edges.ravel().tolist())
         assert path.read_bytes() == want.encode()
+
+
+@pytest.mark.parametrize("rows", [1, 11, 3360, 4096])
+def test_edge_list_chunks_write_the_same_bytes(tmp_path, instance, monkeypatch, rows):
+    """Writing a bounded number of rows at a time gives the bytes of one write.
+
+    3,360 edges are one chunk of 3,360 or 4,096 rows, and 306 chunks of 11,
+    the last one short.
+    """
+    _, _, layered = instance(216, 2)
+    monkeypatch.setattr(builder, "_WRITE_ROWS", rows)
+    path = tmp_path / "g.edges"
+    sp.write_edge_list(layered, path)
+    want = ("%d %d\n" * layered.edge_count) % tuple(layered.edges.ravel().tolist())
+    assert path.read_bytes() == want.encode()
 
 
 def test_edge_list_comments(tmp_path):

@@ -1,3 +1,4 @@
+import bisect
 import dataclasses
 import json
 import math
@@ -443,6 +444,115 @@ def test_path_search_backs_out_of_a_dead_end():
     assert price_forward(ps, g.edges, [(2, 3)]) == [math.inf]
 
 
+def dfs_price_forward(ps, forward, pairs):
+    """The per-pair depth-first search the batched walk replaced, kept as its reference.
+
+    Pairs are searched one after another, each from its endpoint with the
+    smaller coordinate, trying the head with the largest coordinate not past
+    the other endpoint first and never passing it. The searches share one
+    budget of edge examinations, the number of alive edges.
+    """
+    indptr, heads = forward[:2]
+    c = ps.coords.tolist()
+    budget = len(heads)
+
+    def below(v, top):
+        r = heads[indptr[v] : indptr[v + 1]].tolist()
+        return reversed(r[: bisect.bisect_right(r, top, key=c.__getitem__)])
+
+    def search(x, y):
+        nonlocal budget
+        seen = {x}
+        stack = [(x, 0.0, below(x, c[y]))]
+        while stack:
+            v, d, left = stack[-1]
+            for w in left:
+                if not budget:
+                    return math.inf
+                budget -= 1
+                if w == y:
+                    return d + abs(c[w] - c[v])
+                if w not in seen:
+                    seen.add(w)
+                    stack.append((w, d + abs(c[w] - c[v]), below(w, c[y])))
+                    break
+            else:
+                stack.pop()
+        return math.inf
+
+    return [search(x, y) if c[x] < c[y] else search(y, x) for x, y in pairs]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(min_value=20, max_value=140),
+    ell=st.integers(min_value=1, max_value=2),
+    model=st.sampled_from(["uniform", "clustered", "expgaps"]),
+    drop=st.floats(min_value=0.0, max_value=0.6),
+    seed=st.integers(min_value=0, max_value=2**16),
+    count=st.integers(min_value=1, max_value=600),
+)
+# the shared budget runs out part way through the batch
+@example(n=40, ell=1, model="uniform", drop=0.6, seed=0, count=600)
+# some first branches dead-end, between pairs that walk to their goal
+@example(n=20, ell=1, model="uniform", drop=0.1, seed=0, count=200)
+def test_batched_walk_matches_per_pair_search_property(n, ell, model, drop, seed, count):
+    """The batched walk prices every pair exactly as the per-pair search does.
+
+    Pairs come in either orientation, and batches run long enough for the
+    shared budget to run out on some draws.
+    """
+    ps, _, g, fs, rng = dropped_instance(n, ell, model, drop, seed)
+    alive = np.array(sorted(set(range(n)) - fs))
+    xs, ys = _sample_pairs(rng, alive, count)
+    flip = rng.random(count) < 0.5
+    pairs = list(zip(np.where(flip, ys, xs).tolist(), np.where(flip, xs, ys).tolist()))
+    forward = verify._forward_rows(ps, alive_edges(g, fs))
+    assert verify._price_forward(ps, forward, pairs) == dfs_price_forward(ps, forward, pairs)
+
+
+@pytest.mark.parametrize("n, ell", [(700, 2), (1296, 3)])
+def test_walk_to_the_goal_takes_no_depth_first_search(instance, n, ell):
+    """Only a pair whose first branch dead-ends is searched depth first.
+
+    On an intact spanner every first branch reaches its goal, so the search,
+    the one reader of ``bisect_right`` here, never runs.
+    """
+    ps, _, g = instance(n, ell)
+    xs, ys = _sample_pairs(np.random.default_rng(n), np.arange(n), 500)
+    pairs = list(zip(xs.tolist(), ys.tolist()))
+    forward = verify._forward_rows(ps, g.edges)
+    with mock.patch.object(verify, "bisect_right", side_effect=AssertionError("searched")):
+        lengths = verify._price_forward(ps, forward, pairs)
+    assert all(certified(ps, pairs, lengths))
+    # the dead end of test_path_search_backs_out_of_a_dead_end is searched
+    ps = sp.make_point_set([0.0, 1.0, 2.0, 3.0])
+    g = sp.SpannerGraph(4, [(0, 1), (0, 2), (1, 3)])
+    with mock.patch.object(verify, "bisect_right", wraps=bisect.bisect_right) as search:
+        assert price_forward(ps, g.edges, [(0, 3)]) == [3.0]
+    assert search.call_count == 3  # the rows of 0, 2 and 1
+
+
+def test_walk_replays_the_budget_in_pair_order():
+    # the budget is four examinations, one per edge. From 0 the walk to 3
+    # tries 2 first, which has no edge up the line, so (0, 3) is searched
+    # depth first in its place: 2, then 1, then 3, three examinations
+    ps = sp.make_point_set([0.0, 1.0, 2.0, 3.0, 4.0, 5.0])
+    g = sp.SpannerGraph(6, [(0, 1), (0, 2), (1, 3), (4, 5)])
+    assert price_forward(ps, g.edges, [(0, 1), (0, 3), (1, 3)]) == [1.0, 3.0, math.inf]
+    assert price_forward(ps, g.edges, [(1, 3), (3, 0), (0, 1)]) == [2.0, 3.0, math.inf]
+
+
+def test_walk_certifies_on_exactly_the_budget():
+    # a path of three edges, so the budget is three examinations
+    ps = sp.make_point_set([0.0, 1.0, 2.0, 3.0])
+    g = sp.SpannerGraph(4, [(0, 1), (1, 2), (2, 3)])
+    assert price_forward(ps, g.edges, [(3, 0)]) == [3.0]
+    assert price_forward(ps, g.edges, [(0, 1), (1, 3)]) == [1.0, 2.0]
+    # (1, 3) needs two examinations with one left
+    assert price_forward(ps, g.edges, [(0, 2), (1, 3), (0, 1)]) == [2.0, math.inf, math.inf]
+
+
 def half_clique(n):
     """A clique on the lower half of the vertices and a path on the upper half, never joined."""
     h = n // 2
@@ -885,6 +995,35 @@ def test_no_broken_link_iff_the_full_scan_is_exact_property(n, ell, model, drop,
         broken = _broken_links(g, alive, np.array(targets, dtype=np.int64))
         assert (not broken) == (exact == pairs)
         assert broken == [(x, y) for x, y in zip(targets, targets[1:]) if not (reach[x] >> y) & 1]
+
+
+def test_pair_sample_is_drawn_only_when_read(instance):
+    """The sampled check's pairs are drawn when a check first reads them.
+
+    An intact spanner with the oracle off never reads them. With the oracle
+    on they are drawn once, before the oracle's pairs, so the seeded stream
+    is the one the oracle always drew from. Two passes that both read them
+    share one draw.
+    """
+    ps, scheme, g = instance(1024, 2)
+    with mock.patch.object(verify, "_sample_pairs", wraps=_sample_pairs) as draw:
+        rep = sp.verify_robust_spanner(g, ps, scheme, frozenset(), oracle_sample=0, seed=1)
+    assert draw.call_count == 0
+    assert rep.passed and rep.pairs_checked == rep.exact_pairs == 20_000
+    with mock.patch.object(verify, "_sample_pairs", wraps=_sample_pairs) as draw:
+        sp.verify_robust_spanner(g, ps, scheme, frozenset(), seed=1)
+    assert [c.args[2] for c in draw.call_args_list] == [20_000, 500]
+
+    ps, scheme, g = instance(216, 2)
+    fs = sp.random_failures(216, 10, 2)
+    assert sp.compute_closure(scheme, fs).f_star != fs
+    with mock.patch.object(verify, "_sample_pairs", wraps=_sample_pairs) as draw, \
+            mock.patch.object(verify, "_broken_links", a_broken_link):
+        rep = sp.verify_robust_spanner(
+            g, ps, scheme, fs, exhaustive_limit=0, pair_sample=300, oracle_sample=0, seed=1
+        )
+    assert [c.args[2] for c in draw.call_args_list] == [300]
+    assert rep.pairs_checked == 300 and rep.strong_variant_ok is not None
 
 
 @pytest.mark.parametrize("kwargs", [dict(pair_sample=-1), dict(oracle_sample=-3)])
