@@ -35,8 +35,9 @@ class SchemeMismatch(ValueError):
 class SpannerGraph:
     """Undirected graph on vertices 0..n-1 with a deduplicated edge set.
 
-    The graph is held as two read-only arrays: ``edges``, the (E, 2) edge
-    list with u < v in lexicographic order, and ``indptr``, where row u of
+    The graph is held as three read-only arrays: ``edges``, the (E, 2) edge
+    list with u < v in lexicographic order, ``keys``, its sorted keys
+    ``u * n + v``, and ``indptr``, where row u of
     ``edges[indptr[u]:indptr[u+1], 1]`` lists u's higher neighbours. Together
     they are a CSR of the upper triangle. Edge weights are never stored; any
     consumer derives them from point coordinates. ``provenance`` (optional)
@@ -72,10 +73,9 @@ class SpannerGraph:
         out = np.empty((keys.size, 2), dtype=np.int64)
         np.divmod(keys, self.n, out=(out[:, 0], out[:, 1]))
         indptr = np.searchsorted(out[:, 0], np.arange(self.n + 1))
-        out.flags.writeable = False
-        indptr.flags.writeable = False
-        self.edges = out
-        self.indptr = indptr
+        for a in (out, keys, indptr):
+            a.flags.writeable = False
+        self.edges, self.keys, self.indptr = out, keys, indptr
         self.provenance = provenance
 
     @property

@@ -14,8 +14,10 @@ neighbours' rows in the range. A neighbour inside the run of vertices
 that an already OR-ed row covers is skipped: it is in that row, so
 everything it reaches is too. Reach is transitive, so every target pair
 is joined exactly when each target reaches the next one. These links are
-checked first, in ``O(n + E)``: most by a direct edge, the rest by the
-sweep run on the range between the two targets. When every link holds,
+checked first, in ``O(n + E)``, off the graph's sorted edge keys: most by
+a direct edge, most of the rest by one alive middle vertex with an edge
+to each end, and only the others by the sweep run on the range between
+the two targets. When every link holds,
 every target pair is exact and no full sweep runs. Only when a link
 breaks does the sweep run on all vertices, to name the missing pairs.
 Both pair checks, exhaustive and sampled, scan its rows once from the
@@ -66,25 +68,45 @@ class TooLarge(ValueError):
     """The brute-force oracle refuses instances past its size guard."""
 
 
+def _lookup(keys: np.ndarray, want: np.ndarray):
+    """Insertion points of ``want`` in the sorted ``keys``, and which of them are found."""
+    at = np.searchsorted(keys, want)
+    found = at < keys.size
+    found[found] = keys[at[found]] == want[found]
+    return at, found
+
+
 def _broken_links(graph: SpannerGraph, alive, targets: np.ndarray) -> list:
     """The links ``(t_i, t_{i+1})`` of the ascending ``targets`` that no monotone alive path joins.
 
     Monotone reach is transitive, so every pair of targets is joined
-    exactly when every link is. A link with a direct edge holds: its key
-    ``t_i * n + t_{i+1}`` is found among the sorted edge keys. Any other
-    link ``(x, y)`` holds when bit ``y - x`` of row 0 of the sweep run on
-    ``[x, y]``, the only vertices a monotone path for it visits, is set.
-    The ranges are disjoint, so no vertex or edge is read twice.
+    exactly when every link is. A link ``(x, y)`` holds when its key
+    ``x * n + y`` is among the graph's sorted edge keys, a direct edge.
+    Otherwise its insertion point there ends row x's heads below ``y``;
+    they are gathered for all such links at once, and an alive head ``w``
+    whose key ``w * n + y`` is found joins the link by ``x -> w -> y``.
+    Only a link with neither certificate holds when bit ``y - x`` of row 0
+    of the sweep run on ``[x, y]``, the only vertices a monotone path for
+    it visits, is set. The ranges are disjoint, so no vertex or edge is
+    read twice.
     """
-    n, edges = graph.n, graph.edges
-    lo, hi = targets[:-1], targets[1:]
-    keys = edges[:, 0] * n + edges[:, 1]
-    want = lo * n + hi
-    direct = np.searchsorted(keys, want, side="right") > np.searchsorted(keys, want)
+    n, keys = graph.n, graph.keys
+    x, y = targets[:-1], targets[1:]
+    at, direct = _lookup(keys, x * n + y)
+    x, y, at = x[~direct], y[~direct], at[~direct]
+    if not x.size:
+        return []
+    count = at - graph.indptr[x]
+    link = np.repeat(np.arange(x.size), count)
+    mid = graph.edges[np.arange(link.size) + np.repeat(at - np.cumsum(count), count), 1]
+    live = np.fromiter(map(alive.__getitem__, mid.tolist()), dtype=bool, count=mid.size)
+    link, mid = link[live], mid[live]
+    held = np.zeros(x.size, dtype=bool)
+    held[link[_lookup(keys, mid * n + y[link])[1]]] = True
     return [
-        (x, y)
-        for x, y in zip(lo[~direct].tolist(), hi[~direct].tolist())
-        if not (_forward_reach(graph, alive, x, y + 1)[0] >> (y - x)) & 1
+        (a, b)
+        for a, b in zip(x[~held].tolist(), y[~held].tolist())
+        if not (_forward_reach(graph, alive, a, b + 1)[0] >> (b - a)) & 1
     ]
 
 
@@ -191,11 +213,12 @@ def brute_force_oracle(
         raise TooLarge(f"oracle guard: n={graph.n} exceeds limit={limit}")
     dead = np.zeros(graph.n, dtype=bool)
     dead[failure_indices(failures, graph.n)] = True
-    alive = np.flatnonzero(~dead).tolist()
-    if not alive:
+    alive = np.flatnonzero(~dead)
+    if not alive.size:
         return {}
     rows = dijkstra(_oracle_csr(ps, _alive_edges(graph, dead)), indices=alive)
-    return {(x, y): float(rows[i, y]) for i, x in enumerate(alive) for y in alive[i + 1 :]}
+    i, j = np.triu_indices(alive.size, 1)
+    return dict(zip(zip(alive[i].tolist(), alive[j].tolist()), rows[i, alive[j]].tolist()))
 
 
 @dataclass(frozen=True)
@@ -437,10 +460,11 @@ def verify_robust_spanner(
     All pairs are checked when n <= exhaustive_limit, otherwise
     ``pair_sample`` seeded random pairs, drawn when a check first reads
     them but always before the oracle pairs, so the seeded stream is the
-    same either way. The links between consecutive targets are
-    checked first: when all hold, every checked pair is exact, every
-    oracle pair is monotone, no reach sweep runs and, with the oracle off,
-    no pair is drawn. Only when a link breaks does the sweep run. Both
+    same either way; the generator is seeded at its first draw. The links
+    between consecutive targets are checked first, each by a direct edge,
+    one alive middle vertex or a sweep of its range: when all hold, every
+    checked pair is exact, every oracle pair is monotone, no reach sweep
+    runs and, with the oracle off, no pair is drawn. Only when a link breaks does the sweep run. Both
     checks scan the sweep's bigint rows once, each under the mask of the
     targets above its vertex, bit ``y`` of row ``x`` set when an
     index-monotone alive path
@@ -474,7 +498,8 @@ def verify_robust_spanner(
     length over its gap. Violations are priced without a bound. The alive
     edges are filtered and pointed up the line once, and the full graph's
     matrix is built only when a violation or an uncertified or denied pair
-    needs it.
+    needs it. With no missing pair and the oracle off, none of them, nor
+    the stretch pool, is built.
     """
     if not (graph.n == ps.n == scheme.n):
         raise SchemeMismatch(
@@ -492,7 +517,8 @@ def verify_robust_spanner(
     ignored = trace.joined <= trace.ell
     alive = (~dead).tolist()
     targets = np.flatnonzero(~ignored)
-    rng = np.random.default_rng(seed)
+    # seeded at the first draw: the sampled check's pairs, the oracle's, the stretch pairs
+    rng = functools.cache(lambda: np.random.default_rng(seed))
 
     exhaustive = n <= exhaustive_limit
     count = pair_sample if len(targets) >= 2 else 0
@@ -500,12 +526,12 @@ def verify_robust_spanner(
     # oracle's, so no report depends on whether a check reads them; the
     # exhaustive check takes no sample
     sampled = functools.cache(
-        lambda: (None, None) if exhaustive else _sample_pairs(rng, targets, count)
+        lambda: (None, None) if exhaustive else _sample_pairs(rng(), targets, count)
     )
     sample = []
     if oracle_sample > 0 and len(targets) >= 2:
         sampled()
-        oxs, oys = _sample_pairs(rng, targets, min(oracle_sample, 4 * len(targets)))
+        oxs, oys = _sample_pairs(rng(), targets, min(oracle_sample, 4 * len(targets)))
         sample = list(zip(oxs.tolist(), oys.tolist()))
 
     if _broken_links(graph, alive, targets):
@@ -519,41 +545,40 @@ def verify_robust_spanner(
         pairs_checked = len(targets) * (len(targets) - 1) // 2 if exhaustive else count
         exact_pairs, missing = pairs_checked, []
 
-    # one alive filter and one forward copy for the whole oracle; the full
-    # matrix only when used
-    edges = _alive_edges(graph, dead) if missing or oracle_sample > 0 else None
-    forward = functools.cache(lambda: _forward_rows(ps, edges))
-    oracle = functools.cache(lambda: _oracle_csr(ps, edges))
-    priced = _price_pairs(oracle(), missing[:512]) if missing else []
-    violations = [(x, y, None if math.isinf(d) else d) for (x, y), d in zip(missing, priced)]
-    violations.extend((x, y, None) for x, y in missing[512:])
+    violations, oracle_mismatches, max_stretch = [], [], math.nan
+    if missing or oracle_sample > 0:
+        # one alive filter and one forward copy for the whole oracle; the full
+        # matrix only when used
+        edges = _alive_edges(graph, dead)
+        forward = functools.cache(lambda: _forward_rows(ps, edges))
+        oracle = functools.cache(lambda: _oracle_csr(ps, edges))
+        priced = _price_pairs(oracle(), missing[:512]) if missing else []
+        violations = [(x, y, None if math.isinf(d) else d) for (x, y), d in zip(missing, priced)]
+        violations.extend((x, y, None) for x, y in missing[512:])
 
-    oracle_mismatches = []
-    if sample:
-        # a pair the reach denies is priced on the full graph even when its
-        # forward path certifies, so every mismatch reports that length
-        lengths, exact = _price_exact(ps, forward(), oracle, sample, monotone)
-        oracle_mismatches = [
-            (x, y, d) for (x, y), d, mono, ok in zip(sample, lengths, monotone, exact) if mono != ok
-        ]
+        if sample:
+            # a pair the reach denies is priced on the full graph even when its
+            # forward path certifies, so every mismatch reports that length
+            lengths, exact = _price_exact(ps, forward(), oracle, sample, monotone)
+            pricing = zip(sample, lengths, monotone, exact)
+            oracle_mismatches = [(x, y, d) for (x, y), d, mono, ok in pricing if mono != ok]
 
-    ignored_alive = np.flatnonzero(ignored & ~dead)
-    max_stretch = math.nan
-    if len(ignored_alive) and oracle_sample > 0:
-        live = np.flatnonzero(~dead)
-        k = min(oracle_sample, 4 * len(ignored_alive))
-        ixs = ignored_alive[rng.integers(0, len(ignored_alive), size=k)]
-        iys = live[rng.integers(0, len(live), size=k)]
-        ixs, iys = ixs[ixs != iys], iys[ixs != iys]
-        if len(ixs):
-            pairs = list(zip(ixs.tolist(), iys.tolist()))
-            lengths, exact = _price_exact(ps, forward(), oracle, pairs, [True] * len(pairs))
-            # an exact path never backtracks, so in exact arithmetic its length is the gap
-            ratios = np.array(lengths) / np.abs(ps.coords[iys] - ps.coords[ixs])
-            max_stretch = float(np.where(exact, 1.0, ratios).max())
-    # drop the alive edges, the forward copy and the full matrix before the
-    # second pass
-    del edges, forward, oracle
+        ignored_alive = np.flatnonzero(ignored & ~dead)
+        if len(ignored_alive) and oracle_sample > 0:
+            live = np.flatnonzero(~dead)
+            k = min(oracle_sample, 4 * len(ignored_alive))
+            ixs = ignored_alive[rng().integers(0, len(ignored_alive), size=k)]
+            iys = live[rng().integers(0, len(live), size=k)]
+            ixs, iys = ixs[ixs != iys], iys[ixs != iys]
+            if len(ixs):
+                pairs = list(zip(ixs.tolist(), iys.tolist()))
+                lengths, exact = _price_exact(ps, forward(), oracle, pairs, [True] * len(pairs))
+                # an exact path never backtracks, so in exact arithmetic its length is the gap
+                ratios = np.array(lengths) / np.abs(ps.coords[iys] - ps.coords[ixs])
+                max_stretch = float(np.where(exact, 1.0, ratios).max())
+        # drop the alive edges, the forward copy and the full matrix before the
+        # second pass
+        del edges, forward, oracle
 
     strong_ok = None
     if strong_check:

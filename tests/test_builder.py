@@ -170,6 +170,32 @@ def test_graph_edges_frozen():
         g.edges[0, 0] = 2
 
 
+def assert_keys_match_edges(g):
+    assert g.keys.shape == (g.edge_count,) and g.keys.dtype == np.int64
+    assert np.array_equal(g.keys, g.edges[:, 0] * g.n + g.edges[:, 1])
+    assert (np.diff(g.keys) > 0).all()
+    assert not g.keys.flags.writeable
+
+
+def test_graph_keeps_its_sorted_keys(tmp_path, instance):
+    """``keys`` is the strictly increasing ``u * n + v`` per edge row, read-only."""
+    graphs = [instance(n, ell)[2] for n, ell in ((5, 1), (216, 2), (700, 3))]
+    # unsorted, reversed and repeated pairs
+    graphs.append(sp.SpannerGraph(6, [(4, 1), (1, 4), (5, 0), (2, 3), (0, 5), (3, 2), (0, 1)]))
+    path = tmp_path / "g.edges"
+    builder.write_edge_list(graphs[1], path)
+    graphs.append(sp.read_edge_list(path, 216))
+    for g in graphs:
+        assert_keys_match_edges(g)
+    assert graphs[3].keys.tolist() == [1, 5, 10, 15]
+    assert np.array_equal(graphs[4].keys, graphs[1].keys)
+    empty = sp.SpannerGraph(4, [])
+    assert_keys_match_edges(empty)
+    assert empty.keys.shape == (0,)
+    with pytest.raises(ValueError):
+        graphs[0].keys[0] = 7
+
+
 def test_size_mismatch_rejected():
     ps = sp.generate_points(20, "uniform", 0)
     with pytest.raises(sp.SchemeMismatch):

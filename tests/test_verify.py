@@ -1,4 +1,5 @@
 import bisect
+import contextlib
 import dataclasses
 import json
 import math
@@ -119,6 +120,25 @@ def test_oracle_rejects_a_point_set_of_another_size():
 def test_oracle_with_every_vertex_failed_is_empty():
     g, ps = path_graph()
     assert sp.brute_force_oracle(g, ps, frozenset({0, 1, 2})) == {}
+
+
+def loop_brute_force_oracle(graph, ps, failures):
+    """The per-pair loop the one-gather dict replaced, kept as its reference."""
+    alive = [v for v in range(graph.n) if v not in failures]
+    rows = dijkstra(verify._oracle_csr(ps, alive_edges(graph, failures)), indices=alive)
+    return {(x, y): float(rows[i, y]) for i, x in enumerate(alive) for y in alive[i + 1 :]}
+
+
+@pytest.mark.parametrize("n, ell, drop, seed", [(40, 1, 0.9, 0), (216, 2, 0.97, 1), (3, 1, 0.0, 2)])
+def test_oracle_matches_per_pair_reference(n, ell, drop, seed):
+    """Same keys in the same order, ``int`` keys and ``float`` lengths, inf included."""
+    _, _, g, fs, _ = dropped_instance(n, ell, "uniform", drop, seed)
+    ps = sp.generate_points(n, "uniform", seed)
+    got, want = sp.brute_force_oracle(g, ps, fs), loop_brute_force_oracle(g, ps, fs)
+    assert list(got.items()) == list(want.items())
+    assert all(type(x) is type(y) is int and type(d) is float for (x, y), d in got.items())
+    if drop:
+        assert any(math.isinf(d) for d in got.values())
 
 
 def test_oracle_size_guard():
@@ -997,6 +1017,118 @@ def test_no_broken_link_iff_the_full_scan_is_exact_property(n, ell, model, drop,
         assert broken == [(x, y) for x, y in zip(targets, targets[1:]) if not (reach[x] >> y) & 1]
 
 
+def swept_links(graph, alive, targets):
+    """The link check before the two-hop certificate, kept as its reference.
+
+    A link with a direct edge holds; every other link is swept on its range.
+    """
+    n, edges = graph.n, graph.edges
+    lo, hi = targets[:-1], targets[1:]
+    keys = edges[:, 0] * n + edges[:, 1]
+    want = lo * n + hi
+    direct = np.searchsorted(keys, want, side="right") > np.searchsorted(keys, want)
+    return [
+        (x, y)
+        for x, y in zip(lo[~direct].tolist(), hi[~direct].tolist())
+        if not (_forward_reach(graph, alive, x, y + 1)[0] >> (y - x)) & 1
+    ]
+
+
+def window_spy(calls):
+    """``_forward_reach`` appending ``(lo, hi)`` of each window sweep to ``calls``."""
+
+    def reach(graph, alive, lo=0, hi=None):
+        if hi is not None:
+            calls.append((lo, hi))
+        return _forward_reach(graph, alive, lo, hi)
+
+    return reach
+
+
+def uncertified_links(graph, alive, targets):
+    """The links with neither a direct edge nor one alive middle vertex, as swept windows."""
+    edges = graph.edge_set
+    return [
+        (x, y + 1)
+        for x, y in zip(targets, targets[1:])
+        if (x, y) not in edges
+        and not any(alive[w] and (x, w) in edges and (w, y) in edges for w in range(x + 1, y))
+    ]
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    n=st.integers(min_value=8, max_value=400),
+    ell=st.integers(min_value=1, max_value=3),
+    model=st.sampled_from(["uniform", "clustered", "expgaps"]),
+    drop=st.floats(min_value=0.0, max_value=0.6),
+    seed=st.integers(min_value=0, max_value=2**16),
+    removal=st.floats(min_value=0.0, max_value=0.5),
+)
+@example(n=8, ell=1, model="uniform", drop=0.0, seed=0, removal=0.0)
+@example(n=300, ell=2, model="clustered", drop=0.6, seed=1, removal=0.5)
+def test_two_hop_links_match_the_swept_links_property(n, ell, model, drop, seed, removal):
+    """The links are those the reference finds, and only uncertified links are swept.
+
+    Masks come from both passes and from a random failure set, whose
+    targets are a random share of its survivors, so alive vertices lie
+    between targets.
+    """
+    ps, scheme, g, fs, rng = dropped_instance(n, ell, model, drop, seed)
+    f_star = sp.compute_closure(scheme, fs).f_star
+    targets = np.array([v for v in range(n) if v not in f_star], dtype=np.int64)
+    alive = rng.random(n) >= removal
+    cases = [([v not in r for v in range(n)], targets) for r in (fs, f_star)]
+    cases.append((alive.tolist(), np.flatnonzero(alive & (rng.random(n) < 0.5))))
+    for alive, targets in cases:
+        calls = []
+        with mock.patch.object(verify, "_forward_reach", window_spy(calls)):
+            broken = _broken_links(g, alive, targets)
+        assert broken == swept_links(g, alive, targets)
+        assert calls == uncertified_links(g, alive, targets.tolist())
+
+
+def test_two_hop_certificate_examples():
+    # the only middle vertex is dead: the link is swept, and breaks
+    g = sp.SpannerGraph(3, [(0, 1), (1, 2)])
+    calls = []
+    with mock.patch.object(verify, "_forward_reach", window_spy(calls)):
+        assert _broken_links(g, [True, False, True], np.array([0, 2])) == [(0, 2)]
+        assert calls == [(0, 3)]
+        # alive, it certifies the link without a sweep
+        assert _broken_links(g, [True] * 3, np.array([0, 2])) == []
+        assert calls == [(0, 3)]
+        # joined only by three hops: swept, and holds
+        g = sp.SpannerGraph(6, [(0, 1), (1, 2), (2, 5), (0, 3), (3, 4)])
+        assert _broken_links(g, [True] * 6, np.array([0, 5])) == []
+        assert calls == [(0, 3), (0, 6)]
+        # an alive middle vertex with an edge to one end only certifies nothing
+        g = sp.SpannerGraph(3, [(0, 1)])
+        assert _broken_links(g, [True] * 3, np.array([0, 2])) == [(0, 2)]
+        assert calls == [(0, 3), (0, 6), (0, 3)]
+    # an edgeless graph has no keys to look up
+    assert _broken_links(sp.SpannerGraph(3, []), [True] * 3, np.array([0, 2])) == [(0, 2)]
+
+
+@pytest.mark.parametrize("layer, half, link", [(1, 6, (11, 21)), (1, 14, (17, 72))])
+def test_link_through_a_middle_vertex_takes_no_sweep(instance, layer, half, link):
+    """A wipe leaves this first-pass link without a direct edge, joined through
+    an alive ignored vertex: no range sweep runs for it. With the whole ignored
+    set deleted, the strong pass, it has no middle vertex and is swept."""
+    ps, scheme, g = instance(216, 2)
+    fs = sp.half_cluster_wipe(scheme, layer, half)
+    f_star = sp.compute_closure(scheme, fs).f_star
+    targets = np.array([v for v in range(216) if v not in f_star], dtype=np.int64)
+    assert link in zip(targets.tolist(), targets[1:].tolist()) and link not in g.edge_set
+    calls = []
+    with mock.patch.object(verify, "_forward_reach", window_spy(calls)):
+        assert _broken_links(g, [v not in fs for v in range(216)], targets) == []
+        assert calls == []
+        broken = _broken_links(g, [v not in f_star for v in range(216)], targets)
+    assert (link[0], link[1] + 1) in calls
+    assert broken == swept_links(g, [v not in f_star for v in range(216)], targets)
+
+
 def test_pair_sample_is_drawn_only_when_read(instance):
     """The sampled check's pairs are drawn when a check first reads them.
 
@@ -1024,6 +1156,58 @@ def test_pair_sample_is_drawn_only_when_read(instance):
         )
     assert [c.args[2] for c in draw.call_args_list] == [300]
     assert rep.pairs_checked == 300 and rep.strong_variant_ok is not None
+
+
+def spied_verify(*args, **kwargs):
+    """One verify with the generator and the oracle's builders wrapped by spies.
+
+    Returns the report, each spy's call count and the spies, by name.
+    """
+    with contextlib.ExitStack() as stack:
+        spies = {
+            name: stack.enter_context(mock.patch.object(verify, name, wraps=getattr(verify, name)))
+            for name in ("_alive_edges", "_forward_rows", "_oracle_csr")
+        }
+        spies["default_rng"] = stack.enter_context(
+            mock.patch.object(verify.np.random, "default_rng", wraps=np.random.default_rng)
+        )
+        rep = sp.verify_robust_spanner(*args, **kwargs)
+    return rep, {name: spy.call_count for name, spy in spies.items()}, spies
+
+
+@pytest.mark.parametrize(
+    "n, k, seed, exhaustive_limit", [(1024, 51, 0, 512), (216, 10, 2, 512), (216, 0, 0, 0)]
+)
+def test_intact_verify_with_the_oracle_off_builds_nothing(instance, n, k, seed, exhaustive_limit):
+    """No generator is seeded and no oracle state is built when nothing reads them."""
+    ps, scheme, g = instance(n, 2)
+    fs = sp.random_failures(n, k, seed)
+    rep, counts, _ = spied_verify(
+        g, ps, scheme, fs, oracle_sample=0, exhaustive_limit=exhaustive_limit, seed=1
+    )
+    assert counts == dict.fromkeys(counts, 0)
+    assert rep.passed and rep.exact_pairs == rep.pairs_checked > 0
+
+
+def test_missing_pair_with_the_oracle_off_is_priced(instance):
+    ps, scheme, g = instance(16, 1)
+    pruned = sp.SpannerGraph(16, [e for e in g.edge_set if e != (3, 4)])
+    rep, counts, _ = spied_verify(pruned, ps, scheme, frozenset(), oracle_sample=0)
+    assert counts == dict(default_rng=0, _alive_edges=1, _forward_rows=0, _oracle_csr=1)
+    assert [(x, y) for x, y, _ in rep.violations] == [(3, 4)]
+
+
+@pytest.mark.parametrize("exhaustive_limit", [512, 0])
+def test_oracle_seeds_the_generator_once(instance, exhaustive_limit):
+    """The sampled check's, the oracle's and the stretch pairs come from one generator."""
+    ps, scheme, g = instance(216, 2)
+    fs = sp.random_failures(216, 10, 2)
+    rep, counts, spies = spied_verify(
+        g, ps, scheme, fs, exhaustive_limit=exhaustive_limit, pair_sample=300, seed=7
+    )
+    assert counts["default_rng"] == 1 and spies["default_rng"].call_args.args == (7,)
+    assert counts["_alive_edges"] == counts["_forward_rows"] == 1
+    assert rep.oracle_checked == 500 and rep.max_stretch_over_ignored == 1.0
 
 
 @pytest.mark.parametrize("kwargs", [dict(pair_sample=-1), dict(oracle_sample=-3)])
