@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import json
 import sys
 from pathlib import Path
@@ -211,6 +212,7 @@ def cmd_closure_stats(args) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="spanner1d",

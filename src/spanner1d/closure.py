@@ -5,6 +5,12 @@ Layer ``i`` looks at the failure set accumulated through layer ``i-1``
 layer's triggers). Any half-cluster that lost at least half of its
 points, counted against its actual size with the odd case rounded up,
 drags every layer-``i`` cluster containing it into the ignored set.
+
+Every addition is a whole tile, and a layer-``i`` tile is a run of
+``(2m)**(i-1)`` layer-1 tiles, so the rule runs on layer-1 tiles, each
+holding the layer it joined at and its survivors in the snapshot (none
+once it has joined). A layer sums them over its runs with one
+``np.add.reduceat``; the vertices' layers are expanded once, at the end.
 """
 
 from __future__ import annotations
@@ -70,29 +76,40 @@ def half_threshold(size: int) -> int:
 
 
 def compute_closure(scheme: LayeredScheme, failures) -> ClosureTrace:
-    """Run the per-layer majority rule, recording the layer each vertex joins at."""
-    joined = np.full(scheme.n, np.int64(scheme.ell + 1))
-    joined[failure_indices(failures, scheme.n)] = 0
-    f_size = int(np.count_nonzero(joined == 0))  # repeated members count once
+    """Grow F layer by layer on layer-1 tiles, recording the layer each vertex joins at."""
+    n, ell, m = scheme.n, scheme.ell, scheme.m
+    idx = failure_indices(failures, n)
+    alive = np.ones(n, dtype=bool)
+    alive[idx] = False  # repeated members count once
+    f_size = n - int(np.count_nonzero(alive))
     if scheme.complete_mode:
         # No cluster structure: nothing beyond the failures is ignored.
+        joined = np.multiply(alive, np.int64(ell + 1), dtype=np.int64)
         return ClosureTrace(scheme, joined, (), f_size, f_size)
 
+    kept1 = np.add.reduceat(alive, np.arange(0, n, m), dtype=np.int64)
+    tile_joined = np.full(len(kept1), np.int64(ell + 1))
     hits = []
-    for layer in range(1, scheme.ell + 1):
-        lo, hi = scheme.tile_bounds(layer)
+    for layer in range(1, ell + 1):
+        run, width = (2 * m) ** (layer - 1), (2 * m) ** layer // 2
         # counted on F_{layer-1}, before this layer grows it: the snapshot rule
-        lost = np.add.reduceat(joined < layer, lo, dtype=np.int64)
+        kept = np.add.reduceat(kept1, np.arange(0, len(kept1), run))
         # every tile is a full half-cluster except possibly a short last one
-        hit = lost >= half_threshold(int(hi[0] - lo[0]))
-        hit[-1] = lost[-1] >= half_threshold(int(hi[-1] - lo[-1]))
+        hit = width - kept >= half_threshold(width)
+        last = n - (len(kept) - 1) * width
+        hit[-1] = last - kept[-1] >= half_threshold(last)
         hits.append(np.flatnonzero(hit).tolist())
         # tile k lies in clusters k-1 and k, which cover tiles k-1 .. k+1
         grow = hit.copy()
         grow[1:] |= hit[:-1]
         grow[:-1] |= hit[1:]
-        joined[np.repeat(grow, hi - lo) & (joined > layer)] = layer
-    return ClosureTrace(scheme, joined, tuple(hits), f_size, int((joined <= scheme.ell).sum()))
+        # a tile keeps the first layer it joined at, and no survivor once joined
+        grow = np.repeat(grow, run)[: len(kept1)]
+        np.minimum(tile_joined, layer, out=tile_joined, where=grow)
+        np.copyto(kept1, 0, where=grow)
+    joined = np.repeat(tile_joined, m)[:n]
+    joined[idx] = 0
+    return ClosureTrace(scheme, joined, tuple(hits), f_size, n - int(kept1.sum()))
 
 
 def within_spec_bound(trace: ClosureTrace) -> bool:

@@ -46,7 +46,6 @@ independent of the combinatorial criterion.
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 from bisect import bisect_right
@@ -391,13 +390,13 @@ def _within_tolerance(found, want):
     return np.isfinite(found) & (np.abs(found - want) <= ORACLE_RELATIVE_TOLERANCE * want)
 
 
-def _price_exact(ps: PointSet, forward, oracle, pairs, trusted):
-    """Each pair's length, and whether it passes the oracle's exactness test.
+def _price_exact(ps: PointSet, forward, oracle, edges, pairs, trusted=True):
+    """Each pair's length, whether it passes the oracle's exactness test, and the full matrix.
 
-    Pairs are priced on the forward copy ``forward`` first. A pair that
-    fails the tolerance test there, or that ``trusted`` leaves False, is
-    priced again on the full alive graph ``oracle()`` without a bound, in
-    one call.
+    Pairs are priced on the forward copy ``forward`` first. One that fails
+    the tolerance test there, or that ``trusted`` (per pair, or one flag for
+    all) leaves False, is priced again without a bound on the full alive
+    graph, in one call; its matrix ``oracle`` is built from ``edges`` if None.
     """
     ends = np.array(pairs, dtype=np.int64).reshape(-1, 2)
     wants = np.abs(ps.coords[ends[:, 1]] - ps.coords[ends[:, 0]])
@@ -405,9 +404,10 @@ def _price_exact(ps: PointSet, forward, oracle, pairs, trusted):
     exact = _within_tolerance(lengths, wants)
     full = np.flatnonzero(~(exact & np.array(trusted, dtype=bool)))
     if full.size:
-        lengths[full] = _price_pairs(oracle(), [pairs[i] for i in full.tolist()])
+        oracle = _oracle_csr(ps, edges) if oracle is None else oracle
+        lengths[full] = _price_pairs(oracle, [pairs[i] for i in full.tolist()])
         exact[full] |= _within_tolerance(lengths[full], wants[full])
-    return lengths.tolist(), exact.tolist()
+    return lengths.tolist(), exact.tolist(), oracle
 
 
 def _check_pairs(reach: list, targets: list, xs=None, ys=None):
@@ -457,49 +457,35 @@ def verify_robust_spanner(
 ) -> VerificationReport:
     """Check that survivors outside the ignored set keep exact paths.
 
-    All pairs are checked when n <= exhaustive_limit, otherwise
-    ``pair_sample`` seeded random pairs, drawn when a check first reads
-    them but always before the oracle pairs, so the seeded stream is the
-    same either way; the generator is seeded at its first draw. The links
-    between consecutive targets are checked first, each by a direct edge,
-    one alive middle vertex or a sweep of its range: when all hold, every
-    checked pair is exact, every oracle pair is monotone, no reach sweep
-    runs and, with the oracle off, no pair is drawn. Only when a link breaks does the sweep run. Both
-    checks scan the sweep's bigint rows once, each under the mask of the
-    targets above its vertex, bit ``y`` of row ``x`` set when an
-    index-monotone alive path
-    joins ``x`` to ``y > x``. The exhaustive check lists every missing bit;
-    a sampled check flags the rows that miss a target and reads the bit of
-    only the sampled pairs whose ``x`` is flagged. Only missing pairs
-    become tuples, and only the first 512 of them are priced: the rest are
-    reported with a null length, which the JSON report cannot tell apart
-    from an unreachable pair. The strong variant deletes the whole ignored
-    set and checks the links again: it holds when they all hold, and an
-    exhaustive check fails on a broken one. Only a sampled check with a
-    broken link sweeps, since its sample may miss the pairs the link cuts.
-    When the closure adds nothing to the failures, the strong variant
-    takes the first pass's verdict.
+    All target pairs are checked when n <= exhaustive_limit, otherwise
+    ``pair_sample`` seeded random pairs. The links between consecutive
+    targets are checked first: when all hold, every checked pair is exact,
+    every oracle pair is monotone and no reach sweep runs. Only when a link
+    breaks does the sweep run, and the pair check scan its rows as the
+    module docstring describes. Only the first 512 missing pairs are priced:
+    the rest are reported with a null length, which the JSON report cannot
+    tell apart from an unreachable pair. The strong variant deletes the
+    whole ignored set and checks the links again: it holds when they all
+    hold, and an exhaustive check fails on a broken one. Only a sampled
+    check with a broken link sweeps, since its sample may miss the pairs
+    the link cuts. When the closure adds nothing to the failures, the
+    strong variant takes the first pass's verdict.
 
-    ``oracle_sample`` pairs are additionally priced by the numeric oracle
-    and must agree with the monotone criterion to within a 1e-12 relative
-    tolerance. Each pair is first searched on a coordinate-oriented copy
-    of the alive edges, from its left endpoint and never past its right
-    one; a forward path within tolerance certifies it. The searches of all
-    pairs take their first branch together, and only a pair whose branch
-    dead-ends is searched depth first; they share a budget of one edge
-    examination per alive edge.
-    The copy comes from the edge array and the coordinates, not from the
-    links or the reach, so the two checks stay independent. Uncertified
-    pairs, and certified pairs the reach denies, are priced on the full
-    alive graph without a bound, so every mismatch reports its full-graph
-    length.
-    Ignored-set stretch pairs are priced the same way: a pair that passes
-    the tolerance test has stretch exactly 1, any other its full-graph
-    length over its gap. Violations are priced without a bound. The alive
-    edges are filtered and pointed up the line once, and the full graph's
-    matrix is built only when a violation or an uncertified or denied pair
-    needs it. With no missing pair and the oracle off, none of them, nor
-    the stretch pool, is built.
+    ``oracle_sample`` pairs are also priced by the numeric oracle and must
+    agree with the monotone criterion to within a 1e-12 relative tolerance;
+    a pair the reach denies is priced on the full alive graph even when its
+    forward path certifies, so every mismatch reports its full-graph length.
+    Up to as many ignored-set stretch pairs are priced the same way: one
+    that passes the tolerance test has stretch exactly 1, any other its
+    full-graph length over its gap. Violations are priced without a bound.
+
+    One generator, seeded at its first draw, gives the sampled check's
+    pairs, then the oracle's, then the stretch pairs. The sampled check's
+    pairs are drawn when a check first reads them, but always before the
+    oracle's, so no report depends on whether a check reads them. The alive
+    edges and the full graph's matrix are each built once, at first use, and
+    the forward copy once when the oracle is on: with no missing pair and
+    the oracle off, nothing is drawn or built.
     """
     if not (graph.n == ps.n == scheme.n):
         raise SchemeMismatch(
@@ -517,27 +503,24 @@ def verify_robust_spanner(
     ignored = trace.joined <= trace.ell
     alive = (~dead).tolist()
     targets = np.flatnonzero(~ignored)
-    # seeded at the first draw: the sampled check's pairs, the oracle's, the stretch pairs
-    rng = functools.cache(lambda: np.random.default_rng(seed))
 
     exhaustive = n <= exhaustive_limit
     count = pair_sample if len(targets) >= 2 else 0
-    # the sampled check's pairs, drawn when first read, and always before the
-    # oracle's, so no report depends on whether a check reads them; the
-    # exhaustive check takes no sample
-    sampled = functools.cache(
-        lambda: (None, None) if exhaustive else _sample_pairs(rng(), targets, count)
-    )
+    # filled at the first draw, always of the sampled check's pairs when it
+    # takes any; with the oracle off no other pair is drawn
+    rng, sampled = None, ((None, None) if exhaustive else None)
     sample = []
     if oracle_sample > 0 and len(targets) >= 2:
-        sampled()
-        oxs, oys = _sample_pairs(rng(), targets, min(oracle_sample, 4 * len(targets)))
+        rng = np.random.default_rng(seed)
+        sampled = sampled or _sample_pairs(rng, targets, count)
+        oxs, oys = _sample_pairs(rng, targets, min(oracle_sample, 4 * len(targets)))
         sample = list(zip(oxs.tolist(), oys.tolist()))
 
     if _broken_links(graph, alive, targets):
+        sampled = sampled or _sample_pairs(np.random.default_rng(seed), targets, count)
         reach = _forward_reach(graph, alive)
         monotone = [bool((reach[x] >> y) & 1) for x, y in sample]
-        pairs_checked, exact_pairs, missing = _check_pairs(reach, targets.tolist(), *sampled())
+        pairs_checked, exact_pairs, missing = _check_pairs(reach, targets.tolist(), *sampled)
         del reach
     else:
         # every link holds, so every pair of targets is joined
@@ -547,19 +530,16 @@ def verify_robust_spanner(
 
     violations, oracle_mismatches, max_stretch = [], [], math.nan
     if missing or oracle_sample > 0:
-        # one alive filter and one forward copy for the whole oracle; the full
-        # matrix only when used
+        # one alive filter, one forward copy when the oracle is on, and one full matrix
         edges = _alive_edges(graph, dead)
-        forward = functools.cache(lambda: _forward_rows(ps, edges))
-        oracle = functools.cache(lambda: _oracle_csr(ps, edges))
-        priced = _price_pairs(oracle(), missing[:512]) if missing else []
+        forward = _forward_rows(ps, edges) if oracle_sample > 0 else None
+        oracle = _oracle_csr(ps, edges) if missing else None
+        priced = _price_pairs(oracle, missing[:512]) if missing else []
         violations = [(x, y, None if math.isinf(d) else d) for (x, y), d in zip(missing, priced)]
         violations.extend((x, y, None) for x, y in missing[512:])
 
         if sample:
-            # a pair the reach denies is priced on the full graph even when its
-            # forward path certifies, so every mismatch reports that length
-            lengths, exact = _price_exact(ps, forward(), oracle, sample, monotone)
+            lengths, exact, oracle = _price_exact(ps, forward, oracle, edges, sample, monotone)
             pricing = zip(sample, lengths, monotone, exact)
             oracle_mismatches = [(x, y, d) for (x, y), d, mono, ok in pricing if mono != ok]
 
@@ -567,17 +547,17 @@ def verify_robust_spanner(
         if len(ignored_alive) and oracle_sample > 0:
             live = np.flatnonzero(~dead)
             k = min(oracle_sample, 4 * len(ignored_alive))
-            ixs = ignored_alive[rng().integers(0, len(ignored_alive), size=k)]
-            iys = live[rng().integers(0, len(live), size=k)]
+            rng = np.random.default_rng(seed) if rng is None else rng
+            ixs = ignored_alive[rng.integers(0, len(ignored_alive), size=k)]
+            iys = live[rng.integers(0, len(live), size=k)]
             ixs, iys = ixs[ixs != iys], iys[ixs != iys]
             if len(ixs):
                 pairs = list(zip(ixs.tolist(), iys.tolist()))
-                lengths, exact = _price_exact(ps, forward(), oracle, pairs, [True] * len(pairs))
+                lengths, exact, oracle = _price_exact(ps, forward, oracle, edges, pairs)
                 # an exact path never backtracks, so in exact arithmetic its length is the gap
                 ratios = np.array(lengths) / np.abs(ps.coords[iys] - ps.coords[ixs])
                 max_stretch = float(np.where(exact, 1.0, ratios).max())
-        # drop the alive edges, the forward copy and the full matrix before the
-        # second pass
+        # free the oracle's state before the second pass
         del edges, forward, oracle
 
     strong_ok = None
@@ -589,8 +569,9 @@ def verify_robust_spanner(
             # a broken link fails some target pair, and only a sample can miss it
             strong_ok = not _broken_links(graph, alive2, targets)
             if not strong_ok and not exhaustive:
+                sampled = sampled or _sample_pairs(np.random.default_rng(seed), targets, count)
                 reach2 = _forward_reach(graph, alive2)
-                pairs2, exact2, _ = _check_pairs(reach2, targets.tolist(), *sampled())
+                pairs2, exact2, _ = _check_pairs(reach2, targets.tolist(), *sampled)
                 strong_ok = exact2 == pairs2
 
     return VerificationReport(

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import spanner1d as sp
-from spanner1d.cli import main
+from spanner1d.cli import _build_parser, main
 
 
 def test_build_writes_files(tmp_path, capsys):
@@ -40,6 +40,17 @@ def test_usage_errors():
     assert main([]) == 2
     assert main(["frobnicate"]) == 2
     assert main(["--help"]) == 0
+
+
+def test_parser_is_built_once_and_keeps_no_state(tmp_path, capsys):
+    """One parser serves every call in a process, and no call leaks into the next."""
+    assert _build_parser() is _build_parser()
+    assert main(["verify", "--n", "64", "--frobnicate"]) == 2
+    argv = ["verify", "--n", "64", "--ell", "1", "--random-k", "3", "--seed", "5", "--report"]
+    assert main(argv + [str(tmp_path / "a.json"), "--no-strong"]) == 0
+    assert main(argv + [str(tmp_path / "b.json")]) == 0
+    assert json.loads((tmp_path / "a.json").read_text())["strong_variant_ok"] is None
+    assert type(json.loads((tmp_path / "b.json").read_text())["strong_variant_ok"]) is bool
 
 
 def test_epsilon_matches_explicit_depth(tmp_path, capsys):

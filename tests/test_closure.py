@@ -7,7 +7,9 @@ from hypothesis import strategies as st
 
 import spanner1d as sp
 from reference_simple import simple_closure, simple_layers
-from spanner1d.closure import compute_closure, half_threshold, within_spec_bound
+from spanner1d.closure import ClosureTrace, compute_closure, half_threshold, within_spec_bound
+from spanner1d.core import failure_indices
+from spanner1d.experiments import make_rng
 
 
 def test_half_threshold_rounds_up():
@@ -201,3 +203,85 @@ def test_dense_closure_matches_reference_property(inst):
         other = compute_closure(sp.build_scheme(n, ell), members)
         assert np.array_equal(other.joined, trace.joined) and other.hits == trace.hits
         assert (other.f_size, other.f_star_size) == (trace.f_size, trace.f_star_size)
+
+
+# the closure as it was counted per vertex, kept as the reference of the tile count
+def vertex_closure(scheme: sp.LayeredScheme, failures) -> ClosureTrace:
+    """Run the per-layer majority rule, recording the layer each vertex joins at."""
+    joined = np.full(scheme.n, np.int64(scheme.ell + 1))
+    joined[failure_indices(failures, scheme.n)] = 0
+    f_size = int(np.count_nonzero(joined == 0))  # repeated members count once
+    if scheme.complete_mode:
+        # No cluster structure: nothing beyond the failures is ignored.
+        return ClosureTrace(scheme, joined, (), f_size, f_size)
+
+    hits = []
+    for layer in range(1, scheme.ell + 1):
+        lo, hi = scheme.tile_bounds(layer)
+        # counted on F_{layer-1}, before this layer grows it: the snapshot rule
+        lost = np.add.reduceat(joined < layer, lo, dtype=np.int64)
+        # every tile is a full half-cluster except possibly a short last one
+        hit = lost >= half_threshold(int(hi[0] - lo[0]))
+        hit[-1] = lost[-1] >= half_threshold(int(hi[-1] - lo[-1]))
+        hits.append(np.flatnonzero(hit).tolist())
+        # tile k lies in clusters k-1 and k, which cover tiles k-1 .. k+1
+        grow = hit.copy()
+        grow[1:] |= hit[:-1]
+        grow[:-1] |= hit[1:]
+        joined[np.repeat(grow, hi - lo) & (joined > layer)] = layer
+    return ClosureTrace(scheme, joined, tuple(hits), f_size, int((joined <= scheme.ell).sum()))
+
+
+@st.composite
+def tile_instances(draw):
+    """``(n, ell, members)`` up to n = 70,000 and depth 4 (layered from n = 1024).
+
+    The members are empty, every vertex, a scattered draw, or runs that
+    straddle the tile boundaries of one layer, and may repeat. The shape
+    comes from a seeded generator, so large sizes and depth 4 turn up as
+    often as small ones.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = int(rng.integers(1, 2_000) if rng.random() < 0.3 else rng.integers(1_024, 70_001))
+    ell = int(rng.integers(1, 5))
+    kind = ["empty", "all", "scattered", "runs"][rng.choice(4, p=[0.1, 0.1, 0.4, 0.4])]
+    scheme = sp.build_scheme(n, ell)
+    if kind == "empty":
+        members = np.zeros(0, dtype=np.int64)
+    elif kind == "all":
+        members = np.arange(n)
+    elif kind == "scattered" or scheme.complete_mode:
+        members = rng.choice(n, int(rng.choice([0.001, 0.05, 0.2, 0.5, 0.9]) * n), replace=False)
+    else:
+        # runs reaching up to a tile width either side of a boundary
+        lo, _ = scheme.tile_bounds(int(rng.integers(1, ell + 1)))
+        width = int(lo[1]) if lo.size > 1 else n
+        runs = [rng.choice(n, n // 100, replace=False)]
+        bounds = rng.choice(lo, size=min(lo.size, int(rng.integers(1, 5))), replace=False)
+        for b in bounds.tolist():
+            left, right = rng.integers(1, width + 1, size=2).tolist()
+            runs.append(np.arange(max(0, b - left), min(n, b + right)))
+        members = np.concatenate(runs)
+    if rng.random() < 0.3:
+        members = np.concatenate([members, members[::3]])
+    return n, ell, members.astype(np.int64)
+
+
+@settings(max_examples=80, deadline=None)
+@given(tile_instances())
+# closure-stats at its target scale: one trial's draw at k = n / 5
+@example((65536, 3, make_rng(0, 0).choice(65536, 65536 // 5, replace=False)))
+@example((1024, 4, np.arange(0, 1024, 2)))
+@example((145, 1, np.array([144, 144], dtype=np.int64)))
+def test_tile_closure_matches_vertex_closure_property(inst):
+    """Counting on tiles gives the per-vertex closure's layers, triggers and counts,
+    for a failure set passed as a frozenset, a list or an int64 array."""
+    n, ell, members = inst
+    scheme = sp.build_scheme(n, ell)
+    want = vertex_closure(scheme, members)
+    for form in (frozenset(members.tolist()), members.tolist(), members):
+        got = compute_closure(scheme, form)
+        assert got.joined.dtype == np.int64
+        assert np.array_equal(got.joined, want.joined)
+        assert got.hits == want.hits
+        assert (got.f_size, got.f_star_size) == (want.f_size, want.f_star_size)
