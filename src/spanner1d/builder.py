@@ -182,12 +182,15 @@ def write_edge_list(graph: SpannerGraph, path: str | Path) -> None:
 def read_edge_list(path: str | Path, n: int | None = None) -> SpannerGraph:
     """Read a ``u v`` per line file; n defaults to 1 + the largest endpoint.
 
-    Every non-blank, non-comment row must hold exactly two integers.
+    Every non-blank, non-comment row must hold exactly two integers,
+    separated by ASCII whitespace. The file is decoded as Latin-1, one
+    character per byte, so a comment may hold any bytes and numpy's parser
+    never sees a character past U+00FF: numpy 2.4's crashes on some of them.
     """
     with warnings.catch_warnings():
         # An empty or comment-only file is an edgeless graph, not a mistake.
         warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-        edges = np.loadtxt(path, dtype=np.int64, comments="#", ndmin=2)
+        edges = np.loadtxt(path, dtype=np.int64, comments="#", ndmin=2, encoding="latin1")
     if n is None:
         n = 1 + int(edges.max(initial=-1))
     return SpannerGraph(n, edges)

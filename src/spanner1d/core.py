@@ -9,6 +9,7 @@ per line for points, a comma-separated index list for failures).
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
@@ -80,20 +81,25 @@ def check_vertex(n: int, v: int) -> int:
 def failure_indices(members: Iterable[int], n: int) -> np.ndarray:
     """Validate a failure set as one int64 index array, repeated members kept.
 
-    An int64 array is used as it is; any other iterable goes through ``np.fromiter``.
+    An int64 array is used as it is; any other iterable goes through
+    ``np.fromiter``, each member read by ``operator.index``, so a member that
+    is not an integer, a float or a string say, is a ValueError, never truncated.
     """
     own = isinstance(members, np.ndarray) and members.dtype == np.int64
     try:
-        idx = members if own else np.fromiter(members, dtype=np.int64)
-    except OverflowError:  # a member past int64: look for it in members
+        idx = members if own else np.fromiter(map(operator.index, members), dtype=np.int64)
+    except (OverflowError, TypeError):  # past int64 or not an integer: look for it in members
         idx, stray = members, True
     else:
         # under uint64 a negative index wraps past n, so one max checks both ends
         stray = idx.size and idx.view(np.uint64).max() >= n
     if stray:
         for v in idx:
-            check_vertex(n, int(v))
-        raise IndexOutOfRange(f"a vertex index outside [0, {n})")  # an iterator read up
+            if not hasattr(v, "__index__"):
+                raise ValueError(f"vertex index {v!r} is not an integer")
+            check_vertex(n, operator.index(v))
+        # an iterator read up
+        raise IndexOutOfRange(f"a vertex index outside [0, {n}) or not an integer")
     return idx
 
 

@@ -28,20 +28,16 @@ The oracle reads its bits straight off the rows.
 The oracle certifies exactness on a directed copy of the alive edges,
 each pointing from its smaller to its larger coordinate, before any
 full search: a path in the copy never backtracks, so it has the gap as
-its length up to rounding, and one path per pair suffices. A search
-tries first the head with the largest coordinate not past its goal, so
-the first branch of every pair's search is walked for all pairs at once,
-one ``searchsorted`` in the copy's sorted keys per step. The searches of
-one verify share a budget of one examination per alive edge, replayed in
-pair order: a walk of ``h`` hops costs ``h``. A depth-first search runs
-only for a pair whose first branch dead-ends, to back out of it. Pairs
-left uncertified are searched on the whole alive graph, whose matrix is
-built only when some pair needs it. Sampled pairs
-and ignored-set stretch pairs are priced this one way, and a stretch
-pair that passes the oracle's tolerance test has stretch exactly 1. The
-copy is built from the edge array and the coordinates alone, never from
-the links, the bitset reach or index order, so the oracle stays
-independent of the combinatorial criterion.
+its length up to rounding, and one path per pair suffices. A walk takes
+at each step the head with the largest coordinate not past its goal, and
+all pairs step together, one ``searchsorted`` in the copy's sorted keys
+per step. A walk that dead-ends reads inf. Pairs left uncertified are
+searched on the whole alive graph, whose matrix is built only when some
+pair needs it. Sampled pairs and ignored-set stretch pairs are priced
+this one way, and a stretch pair that passes the oracle's tolerance
+test has stretch exactly 1. The copy is built from the edge array and
+the coordinates alone, never from the links, the bitset reach or index
+order, so the oracle stays independent of the combinatorial criterion.
 """
 
 from __future__ import annotations
@@ -298,91 +294,32 @@ def _price_pairs(mat, pairs):
 def _price_forward(ps: PointSet, forward, pairs):
     """Length of one path per pair on the ``_forward_rows`` copy that never backtracks, or inf.
 
-    Each pair is searched from its endpoint with the smaller coordinate,
-    trying the head with the largest coordinate not past the other
-    endpoint, its goal, first and never passing it. Every such path has
-    the gap as its length, up to rounding, so any one will do; the length
-    is summed along it in path order. All pairs share one budget of edge
-    examinations, the number of alive edges: a pair still searching when
-    it runs out reads inf, as does every later one.
-
-    The first branch of every search is walked for all pairs at once: a
-    step from ``v`` takes the last sorted key at or below
-    ``v * n + rank[goal]``, which is v's first head to try when it lies in
-    v's row. A walk that reaches its goal took one examination per hop.
-    The budget is then replayed in pair order: a walk of ``h`` hops keeps
-    its length when ``h`` examinations are left and spends them, and
-    otherwise reads inf and spends them all. Only a pair whose first
-    branch dead-ends is searched depth first, in its place in the order,
-    to back out of the dead end.
+    Each pair is walked from its endpoint with the smaller coordinate to
+    the other, its goal, taking at each vertex the head with the largest
+    coordinate not past the goal. Every such path has the gap as its
+    length, up to rounding, so any one will do; the length is summed along
+    it in path order. All pairs step together: a step from ``v`` takes the
+    last sorted key at or below ``v * n + rank[goal]``, which is v's head
+    to take when it lies in v's row. A walk that finds none there reads inf.
     """
     indptr, heads, keys, rank = forward
     n, c = len(rank), ps.coords
     ends = np.array(pairs, dtype=np.int64).reshape(-1, 2)
     rising = c[ends[:, 0]] < c[ends[:, 1]]
-    src = np.where(rising, ends[:, 0], ends[:, 1])
+    at = np.where(rising, ends[:, 0], ends[:, 1])
     goal = np.where(rising, ends[:, 1], ends[:, 0])
-
     length = np.zeros(len(ends))
-    hops = np.zeros(len(ends), dtype=np.int64)
-    stuck = np.zeros(len(ends), dtype=bool)
-    at, walking = src.copy(), np.arange(len(ends))
+    walking = np.arange(len(ends))
     while walking.size:
         v, to = at[walking], goal[walking]
         i = np.searchsorted(keys, v * n + rank[to], side="right") - 1
         step = i >= indptr[v]
-        stuck[walking[~step]] = True
+        length[walking[~step]] = math.inf
         walking, v, to, w = walking[step], v[step], to[step], heads[i[step]]
         length[walking] += np.abs(c[w] - c[v])
-        hops[walking] += 1
         at[walking] = w
         walking = walking[w != to]
-
-    budget = len(heads)
-    if stuck.any():
-        # only the depth-first search reads these
-        cs = c.tolist()
-        rows = [None] * n  # a row becomes a list when first entered
-
-    def below(v, top):
-        """v's heads not past ``top``, largest coordinate first."""
-        r = rows[v]
-        if r is None:
-            r = rows[v] = heads[indptr[v] : indptr[v + 1]].tolist()
-        return reversed(r[: bisect_right(r, top, key=cs.__getitem__)])
-
-    def search(x, y):
-        nonlocal budget
-        top = cs[y]
-        seen = {x}
-        # a frame is a vertex, the length to it and its heads left to try
-        stack = [(x, 0.0, below(x, top))]
-        while stack:
-            v, d, left = stack[-1]
-            for w in left:
-                if not budget:
-                    return math.inf
-                budget -= 1
-                if w == y:
-                    return d + abs(cs[w] - cs[v])
-                if w not in seen:
-                    seen.add(w)
-                    stack.append((w, d + abs(cs[w] - cs[v]), below(w, top)))
-                    break
-            else:
-                stack.pop()
-        return math.inf
-
-    out = length.tolist()
-    walks = zip(src.tolist(), goal.tolist(), hops.tolist(), stuck.tolist())
-    for p, (x, y, h, dead) in enumerate(walks):
-        if dead:
-            out[p] = search(x, y)
-        elif h <= budget:
-            budget -= h
-        else:
-            out[p], budget = math.inf, 0
-    return out
+    return length.tolist()
 
 
 def _within_tolerance(found, want):

@@ -283,6 +283,21 @@ def test_edge_list_rejects_malformed_rows(tmp_path, text):
         sp.read_edge_list(path)
 
 
+def test_edge_list_reads_bytes_one_character_each(tmp_path):
+    # numpy 2.4 decoding UTF-8 crashed on U+100000 and up in a row; each byte
+    # now reads as one Latin-1 character, so such a row is just malformed, as
+    # is one whose fields a non-ASCII space separates
+    path = tmp_path / "g.edges"
+    for text in ("0 \U0010ffff\n", "\U00100000\n", "0\u00a01\n"):
+        path.write_bytes(text.encode("utf-8"))
+        for _ in range(20):
+            with pytest.raises(ValueError):
+                sp.read_edge_list(path, n=3)
+    # a comment may hold any bytes
+    path.write_bytes("# café \U0010ffff\n0 1\n".encode("utf-8"))
+    assert sp.read_edge_list(path).edges.tolist() == [[0, 1]]
+
+
 @pytest.mark.parametrize("text", ["", "# header only\n\n# more\n"], ids=["empty", "comments"])
 def test_edge_list_without_rows_is_edgeless(tmp_path, text):
     path = tmp_path / "g.edges"

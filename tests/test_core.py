@@ -1,6 +1,10 @@
+import json
+import os
+import tempfile
+
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import spanner1d as sp
@@ -90,6 +94,24 @@ def test_check_failures():
                 sp.check_failures(np.array([0, bad], dtype=np.int64), 3)
 
 
+def test_check_failures_rejects_non_integer_members():
+    # each would otherwise verify another failure set than the one given
+    for members, name in (
+        ([1.9, 2.2], "1.9"),
+        (np.array([0.5, 3.7]), "0.5"),
+        (["3"], "'3'"),
+        ([1, 2.0], "2.0"),
+    ):
+        with pytest.raises(ValueError, match=f"{name}.* is not an integer") as err:
+            sp.check_failures(members, 5)
+        assert not isinstance(err.value, sp.IndexOutOfRange)
+    with pytest.raises(ValueError, match="not an integer"):
+        sp.check_failures((v for v in [0, 1.5]), 5)
+    # integers of any width and numpy integer scalars still pass
+    assert sp.check_failures(np.array([4, 0], dtype=np.int32), 5) == frozenset({0, 4})
+    assert sp.check_failures([np.int64(2), np.uint8(3)], 5) == frozenset({2, 3})
+
+
 def test_parse_points_comments_and_blanks():
     ps = sp.parse_points("# header\n1.0\n\n 2.5 # trailing\n-3\n")
     assert ps.coords.tolist() == [-3.0, 1.0, 2.5]
@@ -140,3 +162,39 @@ def test_points_text_round_trip_property(values):
     ps = sp.make_point_set(values)
     text = "\n".join(format(float(c), ".17g") for c in ps.coords)
     assert sp.parse_points(text) == ps
+
+
+# text skewed toward what the parsers read: numbers, separators, comments
+_parser_text = st.text() | st.text(alphabet="0123456789 .,-+eE#\n\tnaifNIF", max_size=40)
+_scheme_keys = st.sampled_from(["n", "ell", "m", "mode", "layers", "clusters", "ordinal", "lo", "hi"])
+_json_trees = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 300) | st.integers() | st.floats()
+    | st.sampled_from(["complete", "layered"]) | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(_scheme_keys | st.text(max_size=3), inner, max_size=6),
+    max_leaves=16,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(text=_parser_text, tree=_json_trees)
+def test_input_parsers_raise_only_value_error_property(text, tree):
+    """Malformed input of every file format is a ValueError, never another exception.
+
+    The edge list is read with ``n`` given, as the CLI reads a stored graph.
+    """
+    def parse(read, *args):
+        try:
+            read(*args)
+        except ValueError:
+            pass
+
+    parse(sp.parse_points, text)
+    parse(sp.parse_failures, text, 64)
+    parse(sp.scheme_from_json, text)
+    parse(sp.scheme_from_json, json.dumps(tree))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "g.edges")
+        with open(path, "w", encoding="utf-8") as out:
+            out.write(text)
+        parse(sp.read_edge_list, path, 64)
