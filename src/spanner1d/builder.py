@@ -47,7 +47,14 @@ class SpannerGraph:
     def __init__(self, n: int, edges, provenance: dict | None = None):
         self.n = int(n)
         if not isinstance(edges, np.ndarray):
-            edges = list(edges)
+            edges = np.array(list(edges), dtype=object)
+        # an object array keeps each endpoint's own type, so 0.5, True or "2"
+        # is refused here instead of read as 0, 1 or 2
+        whole = edges.dtype.kind in "iu" or (edges.dtype == object and all(
+            isinstance(v, (int, np.integer)) and not isinstance(v, bool) for v in edges.flat
+        ))
+        if edges.size and not whole:
+            raise ValueError("edge endpoints must be integers")
         arr = np.asarray(edges, dtype=np.int64)
         if arr.size == 0:
             arr = arr.reshape(0, 2)

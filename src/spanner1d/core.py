@@ -9,6 +9,7 @@ per line for points, a comma-separated index list for failures).
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 from pathlib import Path
@@ -45,6 +46,10 @@ class PointSet:
             raise EmptyInput("a point set needs at least one coordinate")
         if not np.isfinite(arr).all():
             raise ValueError("coordinates must be finite, not NaN or infinite")
+        # in Python floats, so an overflow reads inf without a numpy warning;
+        # a finite span bounds every gap and every monotone path length
+        if not math.isfinite(float(arr.max()) - float(arr.min())):
+            raise ValueError("coordinates must span a finite range")
         gaps = np.diff(arr)
         if np.any(gaps == 0.0):
             raise DuplicateCoordinate("coordinates must be pairwise distinct")

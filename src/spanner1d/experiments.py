@@ -8,6 +8,7 @@ Failure models mirror the structures the construction defends against.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
@@ -156,8 +157,8 @@ def run_closure_stats(n: int, ell: int, k: int, trials: int, seed: int = 0):
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n, got k={k}")
     scheme = build_scheme(n, ell)
-    # 6**ell >= 2**ell, which overflows a float from ell = 1024 on
-    bound = float(6 ** min(ell, 1024))
+    # float(6**ell) overflows from ell = 397 on, past the largest double
+    bound = float(6**ell) if ell < 397 else math.inf
     rows = []
     for trial in range(trials):
         trace = compute_closure(scheme, make_rng(seed, trial).choice(n, k, replace=False))

@@ -14,30 +14,32 @@ neighbours' rows in the range. A neighbour inside the run of vertices
 that an already OR-ed row covers is skipped: it is in that row, so
 everything it reaches is too. Reach is transitive, so every target pair
 is joined exactly when each target reaches the next one. These links are
-checked first, in ``O(n + E)``, off the graph's sorted edge keys: most by
-a direct edge, most of the rest by one alive middle vertex with an edge
-to each end, and only the others by the sweep run on the range between
-the two targets. When every link holds,
-every target pair is exact and no full sweep runs. Only when a link
-breaks does the sweep run on all vertices, to name the missing pairs.
-Both pair checks, exhaustive and sampled, scan its rows once from the
-top target down, each under the mask of the targets above it; a sampled
-check then reads the bits of only the pairs whose row misses a target.
-The oracle reads its bits straight off the rows.
+checked first, in ``O(n + E)``, off the graph's sorted edge keys: most
+by a direct edge, most of the rest by one alive middle vertex with an
+edge to each end, and only the others by the sweep run on the range
+between the two targets. When every link holds, every target pair is
+exact and no full sweep runs. Only when a link breaks does the sweep run
+on all vertices, to name the missing pairs; both passes, on the
+survivors of F and of F*, run this sequence. Both pair checks,
+exhaustive and sampled, scan its rows once from the top target down,
+each under the mask of the targets above it; a sampled check then reads
+the bits of only the pairs whose row misses a target. The oracle reads
+its bits straight off the rows.
 
 The oracle certifies exactness on a directed copy of the alive edges,
-each pointing from its smaller to its larger coordinate, before any
-full search: a path in the copy never backtracks, so it has the gap as
-its length up to rounding, and one path per pair suffices. A walk takes
-at each step the head with the largest coordinate not past its goal, and
+each pointing from its smaller to its larger coordinate, before any full
+search: a path in the copy never backtracks, so it has the gap as its
+length up to rounding, and one path per pair suffices. A walk takes at
+each step the head with the largest coordinate not past its goal, and
 all pairs step together, one ``searchsorted`` in the copy's sorted keys
 per step. A walk that dead-ends reads inf. Pairs left uncertified are
 searched on the whole alive graph, whose matrix is built only when some
 pair needs it. Sampled pairs and ignored-set stretch pairs are priced
-this one way, and a stretch pair that passes the oracle's tolerance
-test has stretch exactly 1. The copy is built from the edge array and
-the coordinates alone, never from the links, the bitset reach or index
-order, so the oracle stays independent of the combinatorial criterion.
+together, in one walk and at most one full search, and a stretch pair
+that passes the oracle's tolerance test has stretch exactly 1. The copy
+is built from the edge array and the coordinates alone, never from the
+links, the bitset reach or index order, so the oracle stays independent
+of the combinatorial criterion.
 """
 
 from __future__ import annotations
@@ -261,6 +263,12 @@ class VerificationReport:
         )
 
 
+def _once(make):
+    """A function that returns ``make()``, calling it only the first time."""
+    made = []
+    return lambda: made[0] if made else made.append(make()) or made[0]
+
+
 def _sample_pairs(rng, pool: np.ndarray, count: int):
     """Seeded distinct-endpoint pairs drawn uniformly from ``pool``.
 
@@ -347,8 +355,8 @@ def _price_exact(ps: PointSet, forward, oracle, edges, pairs, trusted=True):
     return lengths.tolist(), exact.tolist(), oracle
 
 
-def _check_pairs(reach: list, targets: list, xs=None, ys=None):
-    """(pairs, exact, missing) of all target pairs, or of the sample ``(xs, ys)`` of them.
+def _check_pairs(reach: list, targets: list, xs=None, ys=None) -> list:
+    """The missing pairs among all target pairs, or among the sample ``(xs, ys)`` of them.
 
     One scan walks the targets downwards and reads row ``x`` only under the
     mask of the targets above it, so its own bit and anything below never
@@ -370,14 +378,13 @@ def _check_pairs(reach: list, targets: list, xs=None, ys=None):
             missing.append((x, low.bit_length() - 1))
             gone ^= low
     if xs is None:
-        pairs = len(targets) * (len(targets) - 1) // 2
-        return pairs, pairs - len(missing), missing
+        return missing
     rows = np.zeros(len(reach), dtype=bool)
     rows[flagged] = True
     read = np.flatnonzero(rows[xs])
     hit = np.ones(len(xs), dtype=bool)
     hit[read] = [(reach[x] >> y) & 1 for x, y in zip(xs[read].tolist(), ys[read].tolist())]
-    return len(xs), int(hit.sum()), list(zip(xs[~hit].tolist(), ys[~hit].tolist()))
+    return list(zip(xs[~hit].tolist(), ys[~hit].tolist()))
 
 
 def verify_robust_spanner(
@@ -395,24 +402,22 @@ def verify_robust_spanner(
     """Check that survivors outside the ignored set keep exact paths.
 
     All target pairs are checked when n <= exhaustive_limit, otherwise
-    ``pair_sample`` seeded random pairs. The links between consecutive
-    targets are checked first: when all hold, every checked pair is exact,
-    every oracle pair is monotone and no reach sweep runs. Only when a link
-    breaks does the sweep run, and the pair check scan its rows as the
-    module docstring describes. Only the first 512 missing pairs are priced:
-    the rest are reported with a null length, which the JSON report cannot
-    tell apart from an unreachable pair. The strong variant deletes the
-    whole ignored set and checks the links again: it holds when they all
-    hold, and an exhaustive check fails on a broken one. Only a sampled
-    check with a broken link sweeps, since its sample may miss the pairs
-    the link cuts. When the closure adds nothing to the failures, the
-    strong variant takes the first pass's verdict.
+    ``pair_sample`` seeded random pairs. Each pass, on the survivors of F
+    and, for the strong variant, of the whole ignored set, checks the links
+    between consecutive targets first: when all hold, every checked pair is
+    exact, every oracle pair is monotone and no reach sweep runs. Only when
+    a link breaks does the pass sweep, and the pair check scan its rows as
+    the module docstring describes. The strong variant holds when its pass
+    misses no checked pair; when the closure adds nothing to the failures,
+    it takes the first pass's verdict. Only the first 512 missing pairs are
+    priced: the rest are reported with a null length, which the JSON report
+    cannot tell apart from an unreachable pair.
 
     ``oracle_sample`` pairs are also priced by the numeric oracle and must
     agree with the monotone criterion to within a 1e-12 relative tolerance;
     a pair the reach denies is priced on the full alive graph even when its
     forward path certifies, so every mismatch reports its full-graph length.
-    Up to as many ignored-set stretch pairs are priced the same way: one
+    Up to as many ignored-set stretch pairs are priced in the same call: one
     that passes the tolerance test has stretch exactly 1, any other its
     full-graph length over its gap. Violations are priced without a bound.
 
@@ -421,7 +426,7 @@ def verify_robust_spanner(
     pairs are drawn when a check first reads them, but always before the
     oracle's, so no report depends on whether a check reads them. The alive
     edges and the full graph's matrix are each built once, at first use, and
-    the forward copy once when the oracle is on: with no missing pair and
+    the forward copy once when some pair is priced: with no missing pair and
     the oracle off, nothing is drawn or built.
     """
     if not (graph.n == ps.n == scheme.n):
@@ -434,82 +439,71 @@ def verify_robust_spanner(
         )
     n = graph.n
     trace = compute_closure(scheme, failures)
-    bound_ok = within_spec_bound(trace)
-
     dead = trace.joined == 0
     ignored = trace.joined <= trace.ell
-    alive = (~dead).tolist()
     targets = np.flatnonzero(~ignored)
-
     exhaustive = n <= exhaustive_limit
     count = pair_sample if len(targets) >= 2 else 0
-    # filled at the first draw, always of the sampled check's pairs when it
-    # takes any; with the oracle off no other pair is drawn
-    rng, sampled = None, ((None, None) if exhaustive else None)
-    sample = []
-    if oracle_sample > 0 and len(targets) >= 2:
-        rng = np.random.default_rng(seed)
-        sampled = sampled or _sample_pairs(rng, targets, count)
-        oxs, oys = _sample_pairs(rng, targets, min(oracle_sample, 4 * len(targets)))
-        sample = list(zip(oxs.tolist(), oys.tolist()))
+    # one generator, seeded at its first draw, and the sampled check's pairs
+    rng = _once(lambda: np.random.default_rng(seed))
+    sampled = _once(lambda: (None, None) if exhaustive else _sample_pairs(rng(), targets, count))
 
-    if _broken_links(graph, alive, targets):
-        sampled = sampled or _sample_pairs(np.random.default_rng(seed), targets, count)
+    def check(alive):
+        """A pass on ``alive``: missing pairs and reach rows, or ([], None) if no link breaks."""
+        if not _broken_links(graph, alive, targets):
+            return [], None
         reach = _forward_reach(graph, alive)
-        monotone = [bool((reach[x] >> y) & 1) for x, y in sample]
-        pairs_checked, exact_pairs, missing = _check_pairs(reach, targets.tolist(), *sampled)
-        del reach
-    else:
-        # every link holds, so every pair of targets is joined
-        monotone = [True] * len(sample)
-        pairs_checked = len(targets) * (len(targets) - 1) // 2 if exhaustive else count
-        exact_pairs, missing = pairs_checked, []
+        return _check_pairs(reach, targets.tolist(), *sampled()), reach
+
+    sample, stretch = [], []
+    if oracle_sample > 0:
+        if len(targets) >= 2:
+            sampled()  # drawn first, whether or not a check reads them
+            xs, ys = _sample_pairs(rng(), targets, min(oracle_sample, 4 * len(targets)))
+            sample = list(zip(xs.tolist(), ys.tolist()))
+        ignored_alive = np.flatnonzero(ignored & ~dead)
+        if len(ignored_alive):
+            live = np.flatnonzero(~dead)
+            k = min(oracle_sample, 4 * len(ignored_alive))
+            xs = ignored_alive[rng().integers(0, len(ignored_alive), size=k)]
+            ys = live[rng().integers(0, len(live), size=k)]
+            stretch = [(x, y) for x, y in zip(xs.tolist(), ys.tolist()) if x != y]
+
+    missing, reach = check((~dead).tolist())
+    monotone = [reach is None or bool((reach[x] >> y) & 1) for x, y in sample]
+    del reach
+    pairs_checked = len(targets) * (len(targets) - 1) // 2 if exhaustive else count
 
     violations, oracle_mismatches, max_stretch = [], [], math.nan
-    if missing or oracle_sample > 0:
-        # one alive filter, one forward copy when the oracle is on, and one full matrix
+    if missing or sample or stretch:
+        # one alive filter and one full matrix, built at first use
         edges = _alive_edges(graph, dead)
-        forward = _forward_rows(ps, edges) if oracle_sample > 0 else None
         oracle = _oracle_csr(ps, edges) if missing else None
         priced = _price_pairs(oracle, missing[:512]) if missing else []
         violations = [(x, y, None if math.isinf(d) else d) for (x, y), d in zip(missing, priced)]
         violations.extend((x, y, None) for x, y in missing[512:])
-
-        if sample:
-            lengths, exact, oracle = _price_exact(ps, forward, oracle, edges, sample, monotone)
+        if sample or stretch:
+            # one walk, and at most one full search, for the oracle and the stretch pairs
+            trusted = monotone + [True] * len(stretch)
+            lengths, exact, _ = _price_exact(
+                ps, _forward_rows(ps, edges), oracle, edges, sample + stretch, trusted
+            )
             pricing = zip(sample, lengths, monotone, exact)
             oracle_mismatches = [(x, y, d) for (x, y), d, mono, ok in pricing if mono != ok]
-
-        ignored_alive = np.flatnonzero(ignored & ~dead)
-        if len(ignored_alive) and oracle_sample > 0:
-            live = np.flatnonzero(~dead)
-            k = min(oracle_sample, 4 * len(ignored_alive))
-            rng = np.random.default_rng(seed) if rng is None else rng
-            ixs = ignored_alive[rng.integers(0, len(ignored_alive), size=k)]
-            iys = live[rng.integers(0, len(live), size=k)]
-            ixs, iys = ixs[ixs != iys], iys[ixs != iys]
-            if len(ixs):
-                pairs = list(zip(ixs.tolist(), iys.tolist()))
-                lengths, exact, oracle = _price_exact(ps, forward, oracle, edges, pairs)
+            if stretch:
+                x, y = np.array(stretch).T
                 # an exact path never backtracks, so in exact arithmetic its length is the gap
-                ratios = np.array(lengths) / np.abs(ps.coords[iys] - ps.coords[ixs])
-                max_stretch = float(np.where(exact, 1.0, ratios).max())
-        # free the oracle's state before the second pass
-        del edges, forward, oracle
+                ratios = np.array(lengths[len(sample) :]) / np.abs(ps.coords[y] - ps.coords[x])
+                max_stretch = float(np.where(exact[len(sample) :], 1.0, ratios).max())
+        # free the oracle's state before the strong pass
+        del edges, oracle
 
     strong_ok = None
     if strong_check:
-        # when the closure adds nothing, the second pass would repeat the first
-        strong_ok = exact_pairs == pairs_checked
+        strong_ok = not missing
+        # when the closure adds nothing, the strong pass would repeat the first
         if trace.f_star_size != trace.f_size:
-            alive2 = (~ignored).tolist()
-            # a broken link fails some target pair, and only a sample can miss it
-            strong_ok = not _broken_links(graph, alive2, targets)
-            if not strong_ok and not exhaustive:
-                sampled = sampled or _sample_pairs(np.random.default_rng(seed), targets, count)
-                reach2 = _forward_reach(graph, alive2)
-                pairs2, exact2, _ = _check_pairs(reach2, targets.tolist(), *sampled)
-                strong_ok = exact2 == pairs2
+            strong_ok = not check((~ignored).tolist())[0]
 
     return VerificationReport(
         n=n,
@@ -517,12 +511,12 @@ def verify_robust_spanner(
         f_size=trace.f_size,
         f_star_size=trace.f_star_size,
         pairs_checked=pairs_checked,
-        exact_pairs=exact_pairs,
+        exact_pairs=pairs_checked - len(missing),
         violations=tuple(violations),
         oracle_checked=len(sample),
         oracle_mismatches=tuple(oracle_mismatches),
         max_stretch_over_ignored=max_stretch,
-        bound_ok=bound_ok,
+        bound_ok=within_spec_bound(trace),
         exhaustive=exhaustive,
         strong_variant_ok=strong_ok,
     )

@@ -164,6 +164,32 @@ def test_graph_rejects_bad_edges():
         sp.SpannerGraph(4, [(0, 4)])
 
 
+@pytest.mark.parametrize(
+    "edges",
+    [
+        [(0.5, 2)],
+        np.array([[1.9, 2.2]]),
+        [("0", "2")],
+        [(True, 2)],
+        [(0, 1), (1, 2.0)],
+        np.array([[True, False]]),
+        np.array([[0, "2"]], dtype=object),
+    ],
+)
+def test_graph_rejects_non_integer_endpoints(edges):
+    """Each of these used to be truncated or parsed into an integer edge."""
+    with pytest.raises(ValueError, match="must be integers"):
+        sp.SpannerGraph(3, edges)
+
+
+def test_graph_accepts_integer_endpoints_of_any_width():
+    want = [[0, 2], [1, 2]]
+    assert sp.SpannerGraph(3, [(0, 2), (np.int64(1), 2)]).edges.tolist() == want
+    assert sp.SpannerGraph(3, np.array(want, dtype=np.uint8)).edges.tolist() == want
+    assert sp.SpannerGraph(3, np.array(want, dtype=object)).edges.tolist() == want
+    assert sp.SpannerGraph(3, np.zeros((0, 2))).edge_count == 0
+
+
 def test_graph_edges_frozen():
     g = sp.SpannerGraph(3, [(0, 1)])
     with pytest.raises(ValueError):

@@ -140,6 +140,14 @@ def test_non_finite_points_file_rejected(tmp_path, capsys):
     assert "finite" in capsys.readouterr().err
 
 
+def test_verify_rejects_points_whose_span_overflows(tmp_path, capsys):
+    pts = tmp_path / "big.points"
+    pts.write_text("-1e308\n0\n1e308\n")
+    assert main(["verify", "--points", str(pts), "--ell", "1"]) == 2
+    captured = capsys.readouterr()
+    assert "span a finite range" in captured.err and captured.out == ""
+
+
 def test_verify_rejects_malformed_scheme_file(tmp_path, capsys):
     out = tmp_path / "g"
     assert main(["build", "--n", "16", "--ell", "1", "--out", str(out)]) == 0
@@ -189,10 +197,10 @@ def test_huge_depth_finishes_in_time():
     done = run_capped("verify", "--n", "16", "--ell", "30000000", "--random-k", "1")
     assert done.returncode == 0, done.stderr
     assert "bound_ok=True" in done.stdout
-    # 6**ell overflows a float here, which closure-stats reports at once
+    # 6**ell is past the float range here, so the printed bound is inf
     done = run_capped("closure-stats", "--n", "16", "--ell", "30000000", "--k", "1")
-    assert done.returncode == 2, done.stderr
-    assert "error:" in done.stderr
+    assert done.returncode == 0, done.stderr
+    assert "bound=inf" in done.stdout
 
 
 def test_closure_stats_size_past_int64_exits_2(monkeypatch, capsys):
@@ -296,6 +304,18 @@ def test_closure_stats_normal(tmp_path, capsys):
     assert doc["summary"]["trials"] == 50
     assert doc["summary"]["offenders"] == 0
     assert all(r["within_bound"] for r in doc["rows"])
+
+
+@pytest.mark.parametrize("ell", [396, 397, 1024])
+def test_closure_stats_bound_past_the_float_range(ell, tmp_path, capsys):
+    """6**396 is the last power of 6 a double holds; from depth 397 on the bound reads inf."""
+    json_path = tmp_path / "c.json"
+    argv = ["closure-stats", "--n", "16", "--ell", str(ell), "--k", "1", "--trials", "2"]
+    assert main(argv + ["--json", str(json_path)]) == 0
+    bound = float(6**ell) if ell == 396 else float("inf")
+    assert f"bound={bound:.1f}" in capsys.readouterr().out
+    doc = json.loads(json_path.read_text())
+    assert doc["summary"]["bound"] == bound and doc["rows"][0]["bound"] == bound
 
 
 def test_closure_stats_flags_bound_breach(capsys):

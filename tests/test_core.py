@@ -51,6 +51,15 @@ def test_non_finite_coordinates_rejected(bad):
         sp.parse_points(f"0.0\n{bad}\n2.0\n")
 
 
+def test_coordinates_whose_span_overflows_rejected():
+    # each coordinate and each gap is finite, but the span is past the largest double
+    with pytest.raises(ValueError, match="span a finite range"):
+        sp.make_point_set([-1e308, 0.0, 1e308])
+    with pytest.raises(ValueError, match="span a finite range"):
+        sp.PointSet(np.array([-1e308, 1e308]))
+    assert sp.make_point_set([-1e308, 0.0, 7e307]).n == 3
+
+
 def test_coords_are_frozen():
     ps = sp.make_point_set([1.0, 2.0])
     with pytest.raises(ValueError):

@@ -714,17 +714,11 @@ def checked_reach(n, ell, drop, seed, flips):
 
 def pairwise_check_pairs_exhaustive(reach, targets):
     """Each target pair's own bit; missing pairs in descending ``x``, then ascending ``y``."""
-    pairs = exact = 0
     missing = []
     for i in reversed(range(len(targets))):
         x = targets[i]
-        for y in targets[i + 1 :]:
-            pairs += 1
-            if (reach[x] >> y) & 1:
-                exact += 1
-            else:
-                missing.append((x, y))
-    return pairs, exact, missing
+        missing.extend((x, y) for y in targets[i + 1 :] if not (reach[x] >> y) & 1)
+    return missing
 
 
 @settings(max_examples=60, deadline=None)
@@ -757,7 +751,7 @@ def test_sample_pairs_matches_loop_reference(t, count, seed):
 @example(n=77, ell=2, drop=0.57, seed=1, flips="all")
 @example(n=9, ell=1, drop=0.5, seed=2, flips="some")
 def test_exhaustive_count_matches_bigint_reference(n, ell, drop, seed, flips):
-    """Counts and missing pairs, in order, agree with a per-pair bit test."""
+    """Missing pairs, in order, agree with a per-pair bit test."""
     reach, targets, _ = checked_reach(n, ell, drop, seed, flips)
     want = pairwise_check_pairs_exhaustive(reach, targets)
     assert _check_pairs(reach, targets) == want
@@ -776,10 +770,10 @@ def test_exhaustive_count_matches_bigint_reference(n, ell, drop, seed, flips):
 @example(n=77, ell=2, drop=0.57, seed=1, flips="all", count=2000, repeats=40)
 @example(n=90, ell=2, drop=0.3, seed=0, flips="none", count=2000, repeats=10)  # rows as swept
 def test_sampled_check_matches_per_pair_bits_property(n, ell, drop, seed, flips, count, repeats):
-    """Counts and missing pairs, in sample order, agree with each sampled pair's own bit.
+    """Missing pairs, in sample order, agree with each sampled pair's own bit.
 
-    The sample ends with some of its pairs again, so a pair counts as often
-    as it is drawn. Dropped edges and flipped rows make many rows miss a
+    The sample ends with some of its pairs again, so a missing pair is listed
+    as often as it is drawn. Dropped edges and flipped rows make many rows miss a
     target, so a check that reads only some of the flagged rows fails.
     """
     reach, targets, rng = checked_reach(n, ell, drop, seed, flips)
@@ -790,14 +784,13 @@ def test_sampled_check_matches_per_pair_bits_property(n, ell, drop, seed, flips,
     xs, ys = (np.concatenate([a, a[::-1][:repeats]]) for a in (xs, ys))
     hit = [(reach[x] >> y) & 1 for x, y in zip(xs.tolist(), ys.tolist())]
     missing = [(x, y) for x, y, h in zip(xs.tolist(), ys.tolist(), hit) if not h]
-    assert _check_pairs(reach, targets, xs, ys) == (len(xs), sum(hit), missing)
+    assert _check_pairs(reach, targets, xs, ys) == missing
 
 
 def test_exhaustive_missing_pairs_order():
     # three isolated vertices: every pair is missing
     reach = [1, 2, 4, 8]
-    pairs, exact, missing = _check_pairs(reach, [0, 1, 2, 3])
-    assert (pairs, exact) == (6, 0)
+    missing = _check_pairs(reach, [0, 1, 2, 3])
     assert missing == [(2, 3), (1, 2), (1, 3), (0, 1), (0, 2), (0, 3)]
 
 
@@ -818,7 +811,7 @@ def full_width_spy(calls):
 def all_joined(g, removed, targets):
     """Whether a fresh reach joins every pair of ``targets`` with ``removed`` deleted."""
     reach = _forward_reach(g, [v not in removed for v in range(g.n)])
-    return not pairwise_check_pairs_exhaustive(reach, targets)[2]
+    return not pairwise_check_pairs_exhaustive(reach, targets)
 
 
 def strong_reference(g, f_star, exhaustive, seed, pair_sample):
@@ -849,7 +842,7 @@ def test_strong_variant_reads_its_own_pass(instance, exhaustive_limit):
 @pytest.mark.parametrize("fs", [(), (3,), (8, 9, 30), (24, 25, 55)])
 @pytest.mark.parametrize("cut", [False, True])
 def test_strong_pass_sweeps_only_when_the_closure_grows(instance, cut, fs, exhaustive_limit):
-    """A pass sweeps only when one of its links breaks, and an exhaustive strong pass never does.
+    """A pass sweeps once when one of its links breaks, exhaustive or sampled, and never otherwise.
 
     When ``F* == F`` the first pass's verdict is the strong one, with no
     second look at the links.
@@ -880,7 +873,7 @@ def test_strong_pass_sweeps_only_when_the_closure_grows(instance, cut, fs, exhau
     alive, alive2 = ([v not in r for v in range(64)] for r in (fs, f_star))
     assert links == ([alive] if f_star == fs else [alive, alive2])
     sweeps = [] if all_joined(g, fs, targets) else [alive]
-    if f_star != fs and exhaustive_limit == 0 and not all_joined(g, f_star, targets):
+    if f_star != fs and not all_joined(g, f_star, targets):
         sweeps.append(alive2)
     assert calls == sweeps
     if not cut:
@@ -891,10 +884,6 @@ def test_strong_pass_sweeps_only_when_the_closure_grows(instance, cut, fs, exhau
     want = strong_reference(g, f_star, exhaustive_limit > 0, 1, 2000)
     base = sp.verify_robust_spanner(g, ps, scheme, fs, strong_check=False, **kwargs)
     assert rep.to_json() == dataclasses.replace(base, strong_variant_ok=want).to_json()
-
-
-def refuse_sweep(*args):
-    raise AssertionError("no sweep should run")
 
 
 @pytest.mark.parametrize(
@@ -909,24 +898,23 @@ def refuse_sweep(*args):
 def test_intact_spanner_is_decided_by_its_links(
     instance, n, k, seed, exhaustive_limit, grows, strong
 ):
-    """Every first-pass link of an intact spanner holds: no full-width sweep, no pair check.
+    """Every first-pass link of an intact spanner holds: its pass runs no full-width sweep.
 
     At n = 1024 the closure adds nothing, so the strong pass takes the first
-    pass's verdict. At n = 216 it grows, and the strong pass reads its
-    verdict off its links, both when they hold and, exhaustively, when one
-    breaks.
+    pass's verdict. At n = 216 it grows: the strong pass holds on its links,
+    or, when one breaks, sweeps once to list its missing pairs.
     """
     ps, scheme, g = instance(n, 2)
     fs = sp.random_failures(n, k, seed)
     f_star = sp.compute_closure(scheme, fs).f_star
     assert (f_star != fs) is grows
     full = []
-    with mock.patch.object(verify, "_forward_reach", full_width_spy(full)), \
-            mock.patch.object(verify, "_check_pairs", refuse_sweep):
+    with mock.patch.object(verify, "_forward_reach", full_width_spy(full)):
         rep = sp.verify_robust_spanner(
             g, ps, scheme, fs, exhaustive_limit=exhaustive_limit, seed=1
         )
-    assert full == []  # no full-width sweep ran
+    # only a strong pass with a broken link sweeps
+    assert full == ([] if strong else [[v not in f_star for v in range(n)]])
     assert rep.passed and rep.exact_pairs == rep.pairs_checked > 0
     assert rep.oracle_checked == 500 and rep.oracle_mismatches == ()
     exhaustive = n <= exhaustive_limit
@@ -968,9 +956,9 @@ def test_no_broken_link_iff_the_full_scan_is_exact_property(n, ell, model, drop,
     for removed in (fs, f_star):
         alive = [v not in removed for v in range(n)]
         reach = _forward_reach(g, alive)
-        pairs, exact, _ = _check_pairs(reach, targets)
+        missing = _check_pairs(reach, targets)
         broken = _broken_links(g, alive, np.array(targets, dtype=np.int64))
-        assert (not broken) == (exact == pairs)
+        assert (not broken) == (not missing)
         assert broken == [(x, y) for x, y in zip(targets, targets[1:]) if not (reach[x] >> y) & 1]
 
 
@@ -1165,6 +1153,55 @@ def test_oracle_seeds_the_generator_once(instance, exhaustive_limit):
     assert counts["default_rng"] == 1 and spies["default_rng"].call_args.args == (7,)
     assert counts["_alive_edges"] == counts["_forward_rows"] == 1
     assert rep.oracle_checked == 500 and rep.max_stretch_over_ignored == 1.0
+
+
+@pytest.mark.parametrize("exhaustive_limit", [512, 0])
+def test_exact_pairs_are_the_checked_pairs_a_fresh_reach_joins(exhaustive_limit):
+    """Both counts agree with each checked pair's bit in a fresh reach; some pairs miss."""
+    ps, scheme, g, fs, _ = dropped_instance(120, 2, "uniform", 0.3, 0)
+    rep = sp.verify_robust_spanner(
+        g, ps, scheme, fs, exhaustive_limit=exhaustive_limit, pair_sample=2000, seed=3
+    )
+    f_star = sp.compute_closure(scheme, fs).f_star
+    targets = [v for v in range(120) if v not in f_star]
+    reach = _forward_reach(g, [v not in fs for v in range(120)])
+    if exhaustive_limit:
+        pairs = [(x, y) for i, x in enumerate(targets) for y in targets[i + 1 :]]
+    else:
+        pairs = loop_sample_pairs(np.random.default_rng(3), targets, 2000)
+    exact = sum((reach[x] >> y) & 1 for x, y in pairs)
+    assert 0 < exact < len(pairs)
+    assert (rep.pairs_checked, rep.exact_pairs) == (len(pairs), exact)
+
+
+@pytest.mark.parametrize("exhaustive_limit", [512, 0])
+def test_stretch_reads_its_own_pairs_after_the_oracle_pairs(exhaustive_limit):
+    """The worst stretch, from full-graph lengths, over the pairs drawn after the oracle's.
+
+    The oracle's pairs come first in the one pricing call; here the first of
+    them are exact, while some stretch pairs join only by backtracking.
+    """
+    ps, scheme, g, fs, _ = dropped_instance(120, 2, "uniform", 0.3, 15)
+    kwargs = dict(exhaustive_limit=exhaustive_limit, pair_sample=300, oracle_sample=20, seed=4)
+    rep = sp.verify_robust_spanner(g, ps, scheme, fs, **kwargs)
+    joined = sp.compute_closure(scheme, fs).joined
+    targets = np.flatnonzero(joined > scheme.ell)
+    rng = np.random.default_rng(4)
+    if not exhaustive_limit:
+        _sample_pairs(rng, targets, 300)
+    _sample_pairs(rng, targets, 20)
+    ignored, live = np.flatnonzero((joined > 0) & (joined <= scheme.ell)), np.flatnonzero(joined)
+    k = min(20, 4 * len(ignored))
+    xs = ignored[rng.integers(0, len(ignored), size=k)]
+    ys = live[rng.integers(0, len(live), size=k)]
+    dist = sp.brute_force_oracle(g, ps, fs)
+    stretch = []
+    for x, y in zip(xs.tolist(), ys.tolist()):
+        if x != y:
+            d, gap = dist[min(x, y), max(x, y)], abs(ps.coords[y] - ps.coords[x])
+            stretch.append(1.0 if verify._within_tolerance(d, gap) else d / gap)
+    assert rep.oracle_mismatches == () and max(stretch) > 1.0
+    assert rep.max_stretch_over_ignored == max(stretch)
 
 
 @pytest.mark.parametrize("kwargs", [dict(pair_sample=-1), dict(oracle_sample=-3)])
