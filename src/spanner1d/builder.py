@@ -55,11 +55,14 @@ class SpannerGraph:
         ))
         if edges.size and not whole:
             raise ValueError("edge endpoints must be integers")
-        arr = np.asarray(edges, dtype=np.int64)
-        if arr.size == 0:
-            arr = arr.reshape(0, 2)
-        if arr.ndim != 2 or arr.shape[1] != 2:
-            raise ValueError(f"edges must be vertex pairs, got shape {arr.shape}")
+        if edges.size == 0:
+            edges = edges.reshape(0, 2)
+        if edges.ndim != 2 or edges.shape[1] != 2:
+            raise ValueError(f"edges must be vertex pairs, got shape {edges.shape}")
+        try:
+            arr = np.asarray(edges, dtype=np.int64)
+        except OverflowError:  # an endpoint past int64: the range check below names its edge
+            arr = edges
         keys = np.minimum(arr[:, 0], arr[:, 1])
         high = np.maximum(arr[:, 0], arr[:, 1])
         bad = (keys == high) | (keys < 0) | (high >= self.n)

@@ -18,6 +18,7 @@ import csv
 import dataclasses
 import functools
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -199,8 +200,13 @@ def cmd_closure_stats(args) -> int:
         f"bound={summary['bound']:.1f}"
     )
     if args.json is not None:
-        doc = {"summary": summary, "rows": [dataclasses.asdict(r) for r in rows]}
-        Path(args.json).write_text(json.dumps(doc, indent=2) + "\n")
+        # strict JSON has no Infinity: an infinite bound is "inf", as in a verify report
+        bound = {"bound": "inf"} if math.isinf(summary["bound"]) else {}
+        doc = {
+            "summary": summary | bound,
+            "rows": [dataclasses.asdict(r) | bound for r in rows],
+        }
+        Path(args.json).write_text(json.dumps(doc, indent=2, allow_nan=False) + "\n")
         print(f"wrote {args.json}")
     if offenders:
         for r in offenders[:10]:

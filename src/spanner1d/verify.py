@@ -32,14 +32,17 @@ search: a path in the copy never backtracks, so it has the gap as its
 length up to rounding, and one path per pair suffices. A walk takes at
 each step the head with the largest coordinate not past its goal, and
 all pairs step together, one ``searchsorted`` in the copy's sorted keys
-per step. A walk that dead-ends reads inf. Pairs left uncertified are
-searched on the whole alive graph, whose matrix is built only when some
-pair needs it. Sampled pairs and ignored-set stretch pairs are priced
-together, in one walk and at most one full search, and a stretch pair
-that passes the oracle's tolerance test has stretch exactly 1. The copy
-is built from the edge array and the coordinates alone, never from the
-links, the bitset reach or index order, so the oracle stays independent
-of the combinatorial criterion.
+per step. A walk that dead-ends reads inf; while no pair needs the whole
+graph, such a pair is searched again depth-first on the copy, which backs
+out of dead ends. Pairs left uncertified are searched on the whole alive
+graph, whose matrix is built only when some pair needs it. scipy, which
+builds and searches it, is imported only then, so a verify whose every
+priced pair has a forward path never loads it. Sampled pairs and
+ignored-set stretch pairs are priced together, in one walk and at most
+one full search, and a stretch pair that passes the oracle's tolerance
+test has stretch exactly 1. The copy is built from the edge array and
+the coordinates alone, never from the links, the bitset reach or index
+order, so the oracle stays independent of the combinatorial criterion.
 """
 
 from __future__ import annotations
@@ -50,8 +53,6 @@ from bisect import bisect_right
 from dataclasses import dataclass, fields
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import dijkstra
 
 from .builder import SchemeMismatch, SpannerGraph
 from .closure import compute_closure, within_spec_bound
@@ -162,11 +163,13 @@ def _alive_edges(graph: SpannerGraph, dead: np.ndarray) -> np.ndarray:
     return edges
 
 
-def _oracle_csr(ps: PointSet, edges: np.ndarray) -> csr_matrix:
-    """Symmetric CSR of the alive ``edges``, each weighted by its gap.
+def _oracle_csr(ps: PointSet, edges: np.ndarray):
+    """Symmetric scipy CSR matrix of the alive ``edges``, each weighted by its gap.
 
     Removed vertices keep no edges, so shortest paths to them read inf.
     """
+    from scipy.sparse import csr_matrix
+
     u, v = edges[:, 0], edges[:, 1]
     w = np.abs(ps.coords[v] - ps.coords[u])
     return csr_matrix(
@@ -204,6 +207,8 @@ def brute_force_oracle(
     graph: SpannerGraph, ps: PointSet, failures, limit: int = 512
 ) -> dict:
     """Exact shortest-path length for every alive pair (u < v), inf allowed."""
+    from scipy.sparse.csgraph import dijkstra
+
     if graph.n != ps.n:
         raise SchemeMismatch(f"graph n={graph.n} vs point set n={ps.n}")
     if graph.n > limit:
@@ -293,6 +298,8 @@ def _sample_pairs(rng, pool: np.ndarray, count: int):
 
 def _price_pairs(mat, pairs):
     """Shortest-path length per pair in ``mat``, via one multi-source run."""
+    from scipy.sparse.csgraph import dijkstra
+
     sources = sorted({u for u, _ in pairs})
     rows = dijkstra(mat, indices=sources)
     index = {s: i for i, s in enumerate(sources)}
@@ -330,29 +337,78 @@ def _price_forward(ps: PointSet, forward, pairs):
     return length.tolist()
 
 
+def _search_forward(ps: PointSet, forward, start: int, goal: int) -> float:
+    """Length of a path from ``start`` up to ``goal`` on the ``_forward_rows`` copy, or inf.
+
+    A depth-first search that tries at each vertex its heads not past the
+    goal, the largest coordinate first, so its first descent is the walk of
+    ``_price_forward``; from a dead end it backs up to the next head not
+    yet tried. It enters every vertex at most once, so it reads each edge
+    below the goal at most once. The length is summed along the path found,
+    in path order.
+    """
+    indptr, heads, keys, rank = forward
+    n, bound, c = len(rank), int(rank[goal]), ps.coords
+
+    def ahead(v):
+        """v's heads not past the goal, the largest coordinate first."""
+        end = np.searchsorted(keys, v * n + bound, side="right")
+        return reversed(heads[indptr[v] : end].tolist())
+
+    path, tries, seen = [start], [ahead(start)], {start}
+    while tries:
+        w = next((w for w in tries[-1] if w not in seen), None)
+        if w is None:
+            path.pop()
+            tries.pop()
+            continue
+        path.append(w)
+        if w == goal:
+            return float(sum(abs(c[b] - c[a]) for a, b in zip(path, path[1:])))
+        seen.add(w)
+        tries.append(ahead(w))
+    return math.inf
+
+
 def _within_tolerance(found, want):
     """The oracle's exactness test, elementwise: finite and within 1e-12 of the gap, relatively."""
     return np.isfinite(found) & (np.abs(found - want) <= ORACLE_RELATIVE_TOLERANCE * want)
 
 
 def _price_exact(ps: PointSet, forward, oracle, edges, pairs, trusted=True):
-    """Each pair's length, whether it passes the oracle's exactness test, and the full matrix.
+    """Each pair's length, and whether it passes the oracle's exactness test.
 
-    Pairs are priced on the forward copy ``forward`` first. One that fails
-    the tolerance test there, or that ``trusted`` (per pair, or one flag for
-    all) leaves False, is priced again without a bound on the full alive
-    graph, in one call; its matrix ``oracle`` is built from ``edges`` if None.
+    Pairs are priced on the forward copy ``forward`` first, by the batched
+    walk. While the full search has nothing to price, that is with no
+    matrix ``oracle`` yet, every pair ``trusted`` (per pair, or one flag for
+    all) and every uncertified walk a dead end, the dead-ended walks are
+    searched again depth-first, one pair at a time, up to the first search
+    that finds no path. A pair still uncertified, or one that ``trusted``
+    leaves False, is priced again without a bound on the full alive graph,
+    in one call; its matrix ``oracle`` is built from ``edges`` if None. So
+    pricing loads scipy only for a pair with no forward path that passes
+    the test, or one not trusted, and runs at most one vain search.
     """
     ends = np.array(pairs, dtype=np.int64).reshape(-1, 2)
     wants = np.abs(ps.coords[ends[:, 1]] - ps.coords[ends[:, 0]])
     lengths = np.array(_price_forward(ps, forward, pairs))
+    trusted = np.broadcast_to(np.array(trusted, dtype=bool), lengths.shape)
     exact = _within_tolerance(lengths, wants)
-    full = np.flatnonzero(~(exact & np.array(trusted, dtype=bool)))
+    stuck = np.flatnonzero(~exact)
+    if oracle is None and trusted.all() and np.isinf(lengths[stuck]).all():
+        for i in stuck.tolist():
+            u, v = pairs[i]
+            lo, hi = (u, v) if ps.coords[u] < ps.coords[v] else (v, u)
+            lengths[i] = _search_forward(ps, forward, lo, hi)
+            exact[i] = _within_tolerance(lengths[i], wants[i])
+            if not exact[i]:
+                break
+    full = np.flatnonzero(~(exact & trusted))
     if full.size:
         oracle = _oracle_csr(ps, edges) if oracle is None else oracle
         lengths[full] = _price_pairs(oracle, [pairs[i] for i in full.tolist()])
         exact[full] |= _within_tolerance(lengths[full], wants[full])
-    return lengths.tolist(), exact.tolist(), oracle
+    return lengths.tolist(), exact.tolist()
 
 
 def _check_pairs(reach: list, targets: list, xs=None, ys=None) -> list:
@@ -485,7 +541,7 @@ def verify_robust_spanner(
         if sample or stretch:
             # one walk, and at most one full search, for the oracle and the stretch pairs
             trusted = monotone + [True] * len(stretch)
-            lengths, exact, _ = _price_exact(
+            lengths, exact = _price_exact(
                 ps, _forward_rows(ps, edges), oracle, edges, sample + stretch, trusted
             )
             pricing = zip(sample, lengths, monotone, exact)

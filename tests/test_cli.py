@@ -124,6 +124,16 @@ def test_verify_rejects_corrupted_edge_list(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("end", [2**70, -(2**70)])
+def test_verify_rejects_an_endpoint_past_int64(end, tmp_path, capsys):
+    out = tmp_path / "g"
+    main(["build", "--n", "16", "--ell", "1", "--out", str(out)])
+    edges = tmp_path / "g.edges"
+    edges.write_text(edges.read_text() + f"0 {end}\n")
+    assert main(["verify", "--graph", str(out)]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
 def test_non_finite_points_file_rejected(tmp_path, capsys):
     pts = tmp_path / "pts.txt"
     pts.write_text("0.0\nnan\n2.0\n")
@@ -308,14 +318,29 @@ def test_closure_stats_normal(tmp_path, capsys):
 
 @pytest.mark.parametrize("ell", [396, 397, 1024])
 def test_closure_stats_bound_past_the_float_range(ell, tmp_path, capsys):
-    """6**396 is the last power of 6 a double holds; from depth 397 on the bound reads inf."""
+    """6**396 is the last power of 6 a double holds; from depth 397 on the bound reads inf.
+
+    The JSON file stays strict: an infinite bound is the string "inf", as in a
+    verify report. A finite one is written as Python's ``json`` writes it.
+    """
     json_path = tmp_path / "c.json"
     argv = ["closure-stats", "--n", "16", "--ell", str(ell), "--k", "1", "--trials", "2"]
     assert main(argv + ["--json", str(json_path)]) == 0
     bound = float(6**ell) if ell == 396 else float("inf")
-    assert f"bound={bound:.1f}" in capsys.readouterr().out
-    doc = json.loads(json_path.read_text())
-    assert doc["summary"]["bound"] == bound and doc["rows"][0]["bound"] == bound
+    assert capsys.readouterr().out == (
+        f"closure n=16 ell={ell} k=1 trials=2 max_ratio=1.000 mean_ratio=1.000 "
+        f"bound={bound:.1f}\nwrote {json_path}\n"
+    )
+    def refuse(word):  # Infinity, -Infinity and NaN are not JSON (RFC 8259)
+        raise ValueError(f"not strict JSON: {word}")
+
+    text = json_path.read_text()
+    doc = json.loads(text, parse_constant=refuse)
+    written = bound if ell == 396 else "inf"
+    assert doc["summary"]["bound"] == written
+    assert [r["bound"] for r in doc["rows"]] == [written, written]
+    if ell == 396:
+        assert text == json.dumps(doc, indent=2) + "\n"
 
 
 def test_closure_stats_flags_bound_breach(capsys):
@@ -341,3 +366,66 @@ def test_cli_reproducible_outputs(tmp_path):
     assert main(argv + ["--out", str(b)]) == 0
     for suffix in (".edges", ".scheme.json", ".points"):
         assert (tmp_path / f"a{suffix}").read_text() == (tmp_path / f"b{suffix}").read_text()
+
+
+SCIPY_PROBE = """
+import json, sys
+from spanner1d.cli import main
+
+def scipy_loaded():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+g, w, h, report = sys.argv[1:]
+codes = [
+    main(["build", "--n", "216", "--ell", "2", "--out", g]),
+    main(["scaling", "--ns", "16,32,64", "--ells", "1"]),
+    main(["closure-stats", "--n", "100", "--k", "5", "--trials", "3"]),
+    main(["verify", "--graph", g, "--oracle-sample", "0"]),
+    main(["verify", "--graph", g]),
+    main(["verify", "--graph", g, "--random-k", "10", "--seed", "1"]),
+    main(["build", "--n", "500", "--ell", "2", "--model", "clustered", "--seed", "8", "--out", w]),
+    main(["verify", "--graph", w, "--wipe-half", "1:9", "--seed", "8"]),
+]
+before = scipy_loaded()
+codes.append(main(["verify", "--graph", h, "--report", report]))
+print(json.dumps({"codes": codes, "before": before, "after": scipy_loaded()}))
+"""
+
+
+def test_scipy_loads_only_for_a_full_search(tmp_path):
+    """A fresh CLI process loads scipy only when a verify prices a pair by Dijkstra.
+
+    Building, the sweeps and the verifies of intact graphs leave scipy
+    unloaded: the walks certify every oracle pair, or, under the
+    half-cluster wipe, the depth-first search certifies those whose walk
+    dead-ends. A graph with dropped edges has violations, priced on the
+    full alive graph, so its verify loads scipy and reports what an
+    in-process verify reports.
+    """
+    g, w, h = tmp_path / "g", tmp_path / "w", tmp_path / "h"
+    report = tmp_path / "h.report.json"
+    assert main(["build", "--n", "120", "--ell", "2", "--out", str(h)]) == 0
+    edges = h.with_suffix(".edges")
+    lines = edges.read_text().splitlines()
+    edges.write_text("\n".join(lines[::3]) + "\n")
+    src = str(Path(sp.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run(
+        [sys.executable, "-c", SCIPY_PROBE, str(g), str(w), str(h), str(report)],
+        capture_output=True, text=True, timeout=60, env=env,
+    )
+    assert done.returncode == 0, done.stderr
+    probe = json.loads(done.stdout.splitlines()[-1])
+    assert probe["codes"] == [0, 0, 0, 0, 0, 0, 0, 0, 1]
+    assert probe["before"] == []
+    assert "scipy.sparse.csgraph" in probe["after"]
+    prefix = str(h)
+    scheme = sp.scheme_from_json(Path(prefix + ".scheme.json").read_text())
+    rep = sp.verify_robust_spanner(
+        sp.read_edge_list(prefix + ".edges", n=scheme.n),
+        sp.load_points(prefix + ".points"),
+        scheme,
+        frozenset(),
+    )
+    assert rep.violations
+    assert report.read_text() == rep.to_json() + "\n"

@@ -339,6 +339,19 @@ def never_certify(ps, forward, pairs):
     return [math.inf] * len(pairs)
 
 
+def never_search(ps, forward, start, goal):
+    """``_search_forward`` finding no path, so a dead-ended walk takes the full search."""
+    return math.inf
+
+
+@contextlib.contextmanager
+def full_search_only():
+    """Neither the walk nor the depth-first search certifies: every pair takes the full search."""
+    with mock.patch.object(verify, "_price_forward", never_certify), \
+            mock.patch.object(verify, "_search_forward", never_search):
+        yield
+
+
 @settings(max_examples=30, deadline=None)
 @given(
     n=st.integers(min_value=20, max_value=140),
@@ -375,7 +388,7 @@ def test_forward_certificates_match_full_search_property(
     with mock.patch.object(verify, "_broken_links", a_broken_link), \
             mock.patch.object(verify, "_forward_reach", flipped_reach(rows)):
         certified = sp.verify_robust_spanner(g, ps, scheme, fs, **kwargs)
-        with mock.patch.object(verify, "_price_forward", never_certify):
+        with full_search_only():
             full = sp.verify_robust_spanner(g, ps, scheme, fs, **kwargs)
     assert certified.to_json() == full.to_json()
 
@@ -445,20 +458,137 @@ def test_path_search_certifies_the_dijkstra_pairs_property(n, ell, model, drop, 
     assert all(w for c, w in zip(got, want) if c)
 
 
-def test_dead_ended_walk_is_priced_by_the_full_search():
-    # from 0 the walk takes 2, the largest head not past 3, but 2 has no edge
-    # up the line; the full search finds the path through 1
+def dead_end():
+    """From 0 the walk takes 2, the largest head not past 3, but 2 has no edge up the line."""
     ps = sp.make_point_set([0.0, 1.0, 2.0, 3.0])
-    g = sp.SpannerGraph(4, [(0, 1), (0, 2), (1, 3)])
+    return ps, sp.SpannerGraph(4, [(0, 1), (0, 2), (1, 3)])
+
+
+def no_full_search(mat, pairs):
+    raise AssertionError(f"full search for {len(pairs)} pairs")
+
+
+def test_dead_ended_walk_is_priced_by_the_full_search():
+    # once some pair needs the full graph (its matrix is built), a dead end
+    # goes there too, with no depth-first search; it finds the path through 1
+    ps, g = dead_end()
     assert price_forward(ps, g.edges, [(3, 0)]) == [math.inf]
     assert price_forward(ps, g.edges, [(2, 3)]) == [math.inf]
     forward = verify._forward_rows(ps, g.edges)
-    lengths, exact, _ = verify._price_exact(ps, forward, None, g.edges, [(3, 0)])
+    with mock.patch.object(verify, "_search_forward", side_effect=AssertionError("searched")):
+        lengths, exact = verify._price_exact(
+            ps, forward, verify._oracle_csr(ps, g.edges), g.edges, [(3, 0)]
+        )
     assert (lengths, exact) == ([3.0], [True])
     rep = sp.verify_robust_spanner(g, ps, sp.build_scheme(4, 1), frozenset(), seed=1)
     # 2 reaches 3 only back through 0, and 1 reaches 2 the same way
     assert {(x, y) for x, y, _ in rep.violations} == {(2, 3), (1, 2)}
     assert rep.oracle_checked and not rep.oracle_mismatches
+
+
+def test_depth_first_search_backs_out_of_a_dead_end():
+    # while no pair needs the full graph, the search backs out of 2 and
+    # finds the path through 1, so scipy's search is not needed
+    ps, g = dead_end()
+    forward = verify._forward_rows(ps, g.edges)
+    assert verify._search_forward(ps, forward, 0, 3) == 3.0
+    assert verify._search_forward(ps, forward, 2, 3) == math.inf
+    with mock.patch.object(verify, "_price_pairs", no_full_search):
+        assert verify._price_exact(ps, forward, None, g.edges, [(3, 0)]) == ([3.0], [True])
+
+
+@pytest.mark.parametrize(
+    "pairs, searched",
+    [
+        ([(3, 0), (2, 3)], [(0, 3), (2, 3)]),
+        ([(2, 3), (3, 0)], [(2, 3)]),  # the first search is vain: the rest go to the full search
+        ([(0, 1), (3, 0), (2, 3)], [(0, 3), (2, 3)]),  # a certified walk is not searched
+    ],
+)
+def test_depth_first_search_stops_at_its_first_vain_search(pairs, searched):
+    ps, g = dead_end()
+    forward = verify._forward_rows(ps, g.edges)
+    calls = []
+
+    def spy(ps, forward, start, goal):
+        calls.append((start, goal))
+        return search_forward(ps, forward, start, goal)
+
+    search_forward = verify._search_forward
+    with mock.patch.object(verify, "_search_forward", spy):
+        lengths, exact = verify._price_exact(ps, forward, None, g.edges, pairs)
+    assert calls == searched
+    # 2 reaches 3 only back through 0: 2 + 1 + 2
+    want = {(3, 0): (3.0, True), (2, 3): (5.0, False), (0, 1): (1.0, True)}
+    assert list(zip(lengths, exact)) == [want[p] for p in pairs]
+
+
+@pytest.mark.parametrize(
+    "oracle, trusted", [(True, True), (False, [True, False]), (False, [False, True])]
+)
+def test_no_depth_first_search_once_the_full_search_runs(oracle, trusted):
+    """A built matrix, or an untrusted pair, sends the dead ends straight to the full search."""
+    ps, g = dead_end()
+    forward = verify._forward_rows(ps, g.edges)
+    mat = verify._oracle_csr(ps, g.edges) if oracle else None
+    with mock.patch.object(verify, "_search_forward", side_effect=AssertionError("searched")):
+        lengths, exact = verify._price_exact(ps, forward, mat, g.edges, [(3, 0), (0, 1)], trusted)
+    assert lengths == [3.0, 1.0]
+    assert exact == [True, True]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(min_value=20, max_value=140),
+    ell=st.integers(min_value=1, max_value=2),
+    model=st.sampled_from(["uniform", "clustered", "expgaps"]),
+    drop=st.floats(min_value=0.0, max_value=0.6),
+    seed=st.integers(min_value=0, max_value=2**16),
+)
+# seven of these pairs dead-end on the walk but have a forward path; two have none
+@example(n=20, ell=1, model="uniform", drop=0.1, seed=0)
+def test_depth_first_search_certifies_exactly_the_dijkstra_pairs_property(
+    n, ell, model, drop, seed
+):
+    """The search finds a forward path exactly when the reference finds one."""
+    ps, _, g, fs, rng = dropped_instance(n, ell, model, drop, seed)
+    alive = np.array(sorted(set(range(n)) - fs))
+    xs, ys = _sample_pairs(rng, alive, 200)
+    ends = zip(xs.tolist(), ys.tolist())
+    pairs = [(x, y) if ps.coords[x] < ps.coords[y] else (y, x) for x, y in ends]
+    forward = verify._forward_rows(ps, alive_edges(g, fs))
+    got = certified(ps, pairs, [verify._search_forward(ps, forward, x, y) for x, y in pairs])
+    want = certified(ps, pairs, dijkstra_price_forward(g, ps, fs, pairs))
+    assert got == want
+
+
+@pytest.mark.parametrize("model", ["clustered", "expgaps"])
+def test_dead_ends_on_a_spanner_take_no_full_search(model):
+    """A half-cluster wipe whose walks dead-end: the search certifies them, with the same report.
+
+    On these intact spanners every dead-ended pair has a forward path, so
+    the verify never calls scipy's search.
+    """
+    n, ell = 500, 2
+    ps = sp.generate_points(n, model, 8)
+    scheme = sp.build_scheme(n, ell)
+    g = sp.build_spanner(ps, scheme)
+    fs = sp.half_cluster_wipe(scheme, 1, 9)
+    calls = []
+    search_forward = verify._search_forward
+
+    def spy(*args):
+        calls.append(args[2:])
+        return search_forward(*args)
+
+    with mock.patch.object(verify, "_search_forward", spy), \
+            mock.patch.object(verify, "_price_pairs", no_full_search):
+        rep = sp.verify_robust_spanner(g, ps, scheme, fs, seed=8)
+    assert calls
+    with full_search_only():
+        full = sp.verify_robust_spanner(g, ps, scheme, fs, seed=8)
+    assert rep.to_json() == full.to_json()
+    assert rep.passed
 
 
 def walk_price_forward(ps, forward, pairs):
@@ -557,7 +687,7 @@ def test_half_clique_cross_pairs_read_inf():
     scheme = sp.build_scheme(n, 1)
     fs = sp.random_failures(n, 15, 1)
     rep = sp.verify_robust_spanner(g, ps, scheme, fs, seed=2)
-    with mock.patch.object(verify, "_price_forward", never_certify):
+    with full_search_only():
         full = sp.verify_robust_spanner(g, ps, scheme, fs, seed=2)
     assert rep.to_json() == full.to_json()
     assert rep.violations and not rep.passed
@@ -606,10 +736,6 @@ def test_certified_stretch_pairs_take_no_full_search(instance):
     """Stretch pairs with a forward path have stretch exactly 1, with no full search."""
     ps, scheme, g = instance(100, 2)
     fs = sp.random_failures(100, 5, 1)
-
-    def no_full_search(mat, pairs):
-        raise AssertionError(f"full search for {len(pairs)} pairs")
-
     with mock.patch.object(verify, "_price_pairs", no_full_search):
         rep = sp.verify_robust_spanner(g, ps, scheme, fs, seed=1)
     assert rep.f_star_size > rep.f_size
