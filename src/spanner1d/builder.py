@@ -60,6 +60,9 @@ class SpannerGraph:
         if edges.ndim != 2 or edges.shape[1] != 2:
             raise ValueError(f"edges must be vertex pairs, got shape {edges.shape}")
         try:
+            # an unsigned endpoint past int64 would wrap round, not overflow
+            if edges.dtype.kind == "u" and edges.size and edges.max() >= np.uint64(2**63):
+                raise OverflowError
             arr = np.asarray(edges, dtype=np.int64)
         except OverflowError:  # an endpoint past int64: the range check below names its edge
             arr = edges

@@ -53,7 +53,7 @@ def _add_instance_flags(p: argparse.ArgumentParser) -> None:
     depth.add_argument(
         "--epsilon", type=float, help="pick the smallest depth with n^(1+eps) size"
     )
-    p.add_argument("--model", choices=POINT_MODELS, default="uniform")
+    p.add_argument("--model", choices=POINT_MODELS, help="point model for --n (default uniform)")
     p.add_argument("--seed", type=int, default=0)
 
 
@@ -61,7 +61,7 @@ def _resolve_instance(args):
     if args.points is not None:
         ps = load_points(args.points)
     elif args.n is not None:
-        ps = generate_points(args.n, args.model, args.seed)
+        ps = generate_points(args.n, args.model or "uniform", args.seed)
     else:
         raise ValueError("one of --n or --points is required")
     if args.epsilon is not None:
@@ -125,6 +125,10 @@ def cmd_build(args) -> int:
 
 def cmd_verify(args) -> int:
     if args.graph is not None:
+        # the stored files fix the instance: only the seed and the failure flags apply
+        for flag in ("n", "points", "ell", "epsilon", "model"):
+            if getattr(args, flag) is not None:
+                raise ValueError(f"--{flag} does not apply to a stored --graph")
         prefix = str(args.graph)
         ps = load_points(prefix + ".points")
         scheme = scheme_from_json(Path(prefix + ".scheme.json").read_text())

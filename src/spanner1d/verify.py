@@ -32,17 +32,17 @@ search: a path in the copy never backtracks, so it has the gap as its
 length up to rounding, and one path per pair suffices. A walk takes at
 each step the head with the largest coordinate not past its goal, and
 all pairs step together, one ``searchsorted`` in the copy's sorted keys
-per step. A walk that dead-ends reads inf; while no pair needs the whole
-graph, such a pair is searched again depth-first on the copy, which backs
-out of dead ends. Pairs left uncertified are searched on the whole alive
-graph, whose matrix is built only when some pair needs it. scipy, which
-builds and searches it, is imported only then, so a verify whose every
-priced pair has a forward path never loads it. Sampled pairs and
-ignored-set stretch pairs are priced together, in one walk and at most
-one full search, and a stretch pair that passes the oracle's tolerance
-test has stretch exactly 1. The copy is built from the edge array and
-the coordinates alone, never from the links, the bitset reach or index
-order, so the oracle stays independent of the combinatorial criterion.
+per step. A verify prices all its pairs in one call: violations, sampled
+pairs and ignored-set stretch pairs. Violations and sampled pairs the
+reach denies are not trusted and skip the walk. A walk that dead-ends
+reads inf; while every pair is trusted, such a pair is searched again
+depth-first on the copy, which backs out of dead ends. Untrusted and
+uncertified pairs are searched together on the whole alive graph, whose
+matrix is built, and scipy imported, only then. A stretch pair that
+passes the oracle's tolerance test has stretch exactly 1. The copy is
+built from the edge array and the coordinates alone, never from the
+links, the bitset reach or index order, so the oracle stays independent
+of the combinatorial criterion.
 """
 
 from __future__ import annotations
@@ -375,39 +375,40 @@ def _within_tolerance(found, want):
     return np.isfinite(found) & (np.abs(found - want) <= ORACLE_RELATIVE_TOLERANCE * want)
 
 
-def _price_exact(ps: PointSet, forward, oracle, edges, pairs, trusted=True):
-    """Each pair's length, and whether it passes the oracle's exactness test.
+def _price_exact(ps: PointSet, edges, pairs, trusted):
+    """Each pair's length on the alive ``edges``, and whether it passes the exactness test.
 
-    Pairs are priced on the forward copy ``forward`` first, by the batched
-    walk. While the full search has nothing to price, that is with no
-    matrix ``oracle`` yet, every pair ``trusted`` (per pair, or one flag for
-    all) and every uncertified walk a dead end, the dead-ended walks are
-    searched again depth-first, one pair at a time, up to the first search
-    that finds no path. A pair still uncertified, or one that ``trusted``
-    leaves False, is priced again without a bound on the full alive graph,
-    in one call; its matrix ``oracle`` is built from ``edges`` if None. So
-    pricing loads scipy only for a pair with no forward path that passes
-    the test, or one not trusted, and runs at most one vain search.
+    The pairs ``trusted`` marks are walked on the forward copy, built from
+    ``edges`` only for them. While every pair is trusted, those the walk
+    leaves uncertified are searched again depth-first, one at a time, up to
+    the first search that finds no forward path passing the test. Every
+    pair still uncertified, untrusted ones included, is priced without a
+    bound on the full alive graph, in one ``_price_pairs`` call on a matrix
+    built then. So pricing loads scipy only for an untrusted pair or one
+    with no forward path that passes the test, and runs at most one vain
+    search.
     """
     ends = np.array(pairs, dtype=np.int64).reshape(-1, 2)
     wants = np.abs(ps.coords[ends[:, 1]] - ps.coords[ends[:, 0]])
-    lengths = np.array(_price_forward(ps, forward, pairs))
-    trusted = np.broadcast_to(np.array(trusted, dtype=bool), lengths.shape)
-    exact = _within_tolerance(lengths, wants)
-    stuck = np.flatnonzero(~exact)
-    if oracle is None and trusted.all() and np.isinf(lengths[stuck]).all():
-        for i in stuck.tolist():
+    trusted = np.array(trusted, dtype=bool)
+    lengths = np.full(len(ends), math.inf)
+    walked = np.flatnonzero(trusted)
+    if walked.size:
+        forward = _forward_rows(ps, edges)
+        lengths[walked] = _price_forward(ps, forward, ends[walked])
+    exact = trusted & _within_tolerance(lengths, wants)
+    if trusted.all():
+        for i in np.flatnonzero(~exact).tolist():
             u, v = pairs[i]
             lo, hi = (u, v) if ps.coords[u] < ps.coords[v] else (v, u)
             lengths[i] = _search_forward(ps, forward, lo, hi)
             exact[i] = _within_tolerance(lengths[i], wants[i])
             if not exact[i]:
                 break
-    full = np.flatnonzero(~(exact & trusted))
+    full = np.flatnonzero(~exact)
     if full.size:
-        oracle = _oracle_csr(ps, edges) if oracle is None else oracle
-        lengths[full] = _price_pairs(oracle, [pairs[i] for i in full.tolist()])
-        exact[full] |= _within_tolerance(lengths[full], wants[full])
+        lengths[full] = _price_pairs(_oracle_csr(ps, edges), [pairs[i] for i in full.tolist()])
+        exact[full] = _within_tolerance(lengths[full], wants[full])
     return lengths.tolist(), exact.tolist()
 
 
@@ -471,19 +472,19 @@ def verify_robust_spanner(
 
     ``oracle_sample`` pairs are also priced by the numeric oracle and must
     agree with the monotone criterion to within a 1e-12 relative tolerance;
-    a pair the reach denies is priced on the full alive graph even when its
-    forward path certifies, so every mismatch reports its full-graph length.
-    Up to as many ignored-set stretch pairs are priced in the same call: one
-    that passes the tolerance test has stretch exactly 1, any other its
-    full-graph length over its gap. Violations are priced without a bound.
+    a pair the reach denies is priced on the full alive graph, never walked,
+    so every mismatch reports its full-graph length. Up to as many
+    ignored-set stretch pairs are priced too: one that passes the tolerance
+    test has stretch exactly 1, any other its full-graph length over its
+    gap. Violations, oracle pairs and stretch pairs go to ``_price_exact``
+    in one call, in that order, and violations are never trusted.
 
     One generator, seeded at its first draw, gives the sampled check's
     pairs, then the oracle's, then the stretch pairs. The sampled check's
     pairs are drawn when a check first reads them, but always before the
     oracle's, so no report depends on whether a check reads them. The alive
-    edges and the full graph's matrix are each built once, at first use, and
-    the forward copy once when some pair is priced: with no missing pair and
-    the oracle off, nothing is drawn or built.
+    edges are filtered only when some pair is priced: with no missing pair
+    and the oracle off, nothing is drawn or built.
     """
     if not (graph.n == ps.n == scheme.n):
         raise SchemeMismatch(
@@ -531,28 +532,21 @@ def verify_robust_spanner(
     pairs_checked = len(targets) * (len(targets) - 1) // 2 if exhaustive else count
 
     violations, oracle_mismatches, max_stretch = [], [], math.nan
-    if missing or sample or stretch:
-        # one alive filter and one full matrix, built at first use
-        edges = _alive_edges(graph, dead)
-        oracle = _oracle_csr(ps, edges) if missing else None
-        priced = _price_pairs(oracle, missing[:512]) if missing else []
-        violations = [(x, y, None if math.isinf(d) else d) for (x, y), d in zip(missing, priced)]
+    priced = missing[:512]
+    if priced or sample or stretch:
+        trusted = [False] * len(priced) + monotone + [True] * len(stretch)
+        lengths, exact = _price_exact(
+            ps, _alive_edges(graph, dead), priced + sample + stretch, trusted
+        )
+        violations = [(x, y, None if math.isinf(d) else d) for (x, y), d in zip(priced, lengths)]
         violations.extend((x, y, None) for x, y in missing[512:])
-        if sample or stretch:
-            # one walk, and at most one full search, for the oracle and the stretch pairs
-            trusted = monotone + [True] * len(stretch)
-            lengths, exact = _price_exact(
-                ps, _forward_rows(ps, edges), oracle, edges, sample + stretch, trusted
-            )
-            pricing = zip(sample, lengths, monotone, exact)
-            oracle_mismatches = [(x, y, d) for (x, y), d, mono, ok in pricing if mono != ok]
-            if stretch:
-                x, y = np.array(stretch).T
-                # an exact path never backtracks, so in exact arithmetic its length is the gap
-                ratios = np.array(lengths[len(sample) :]) / np.abs(ps.coords[y] - ps.coords[x])
-                max_stretch = float(np.where(exact[len(sample) :], 1.0, ratios).max())
-        # free the oracle's state before the strong pass
-        del edges, oracle
+        pricing = zip(sample, lengths[len(priced) :], monotone, exact[len(priced) :])
+        oracle_mismatches = [(x, y, d) for (x, y), d, mono, ok in pricing if mono != ok]
+        if stretch:
+            x, y = np.array(stretch).T
+            # an exact path never backtracks, so in exact arithmetic its length is the gap
+            ratios = np.array(lengths[-len(stretch) :]) / np.abs(ps.coords[y] - ps.coords[x])
+            max_stretch = float(np.where(exact[-len(stretch) :], 1.0, ratios).max())
 
     strong_ok = None
     if strong_check:

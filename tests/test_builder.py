@@ -164,10 +164,19 @@ def test_graph_rejects_bad_edges():
         sp.SpannerGraph(4, [(0, 4)])
 
 
-@pytest.mark.parametrize("edges", [[(0, 2**70)], [(-(2**70), 1)], [(0, 1), (2, 2**63)]])
+@pytest.mark.parametrize(
+    "edges",
+    [
+        [(0, 2**70)],
+        [(-(2**70), 1)],
+        [(0, 1), (2, 2**63)],
+        np.array([[0, 2**64 - 1]], dtype=np.uint64),
+        np.array([[0, 1], [2**63, 2]], dtype=np.uint64),
+    ],
+)
 def test_graph_rejects_endpoints_past_int64(edges):
-    """An endpoint int64 cannot hold is out of range, not an OverflowError."""
-    a, b = edges[-1]
+    """An endpoint int64 cannot hold is out of range, named as passed, not an OverflowError."""
+    a, b = [int(v) for v in edges[-1]]
     with pytest.raises(sp.SchemeMismatch, match=rf"edge \({a}, {b}\) outside vertex range \[0, 3\)"):
         sp.SpannerGraph(3, edges)
 

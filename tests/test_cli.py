@@ -82,6 +82,26 @@ def test_verify_round_trip(tmp_path, capsys):
     assert doc["pass"] is True and doc["n"] == 64 and doc["seed"] == 5
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--ell", "3"],
+        ["--n", "64"],
+        ["--points", "g.points"],
+        ["--epsilon", "0.5"],
+        ["--model", "clustered"],
+    ],
+)
+def test_verify_of_a_stored_graph_refuses_instance_flags(tmp_path, capsys, flags):
+    """The stored files fix the instance, so a flag that would change it is an error."""
+    out = tmp_path / "g"
+    assert main(["build", "--n", "64", "--ell", "1", "--out", str(out)]) == 0
+    capsys.readouterr()
+    argv = ["verify", "--graph", str(out), *flags, "--random-k", "3", "--seed", "5"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {flags[0]} does not apply to a stored --graph\n"
+
+
 def test_verify_fresh_build_with_failure_file(tmp_path, capsys):
     f = tmp_path / "f.txt"
     f.write_text("3, 7\n")

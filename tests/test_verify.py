@@ -469,17 +469,16 @@ def no_full_search(mat, pairs):
 
 
 def test_dead_ended_walk_is_priced_by_the_full_search():
-    # once some pair needs the full graph (its matrix is built), a dead end
-    # goes there too, with no depth-first search; it finds the path through 1
+    # once some pair in the call is untrusted, as a violation is, a dead end
+    # goes to the full search too, with no depth-first search; it finds the
+    # path through 1
     ps, g = dead_end()
     assert price_forward(ps, g.edges, [(3, 0)]) == [math.inf]
     assert price_forward(ps, g.edges, [(2, 3)]) == [math.inf]
-    forward = verify._forward_rows(ps, g.edges)
     with mock.patch.object(verify, "_search_forward", side_effect=AssertionError("searched")):
-        lengths, exact = verify._price_exact(
-            ps, forward, verify._oracle_csr(ps, g.edges), g.edges, [(3, 0)]
-        )
-    assert (lengths, exact) == ([3.0], [True])
+        lengths, exact = verify._price_exact(ps, g.edges, [(2, 3), (3, 0)], [False, True])
+    # 2 reaches 3 only back through 0: 2 + 1 + 2
+    assert (lengths, exact) == ([5.0, 3.0], [False, True])
     rep = sp.verify_robust_spanner(g, ps, sp.build_scheme(4, 1), frozenset(), seed=1)
     # 2 reaches 3 only back through 0, and 1 reaches 2 the same way
     assert {(x, y) for x, y, _ in rep.violations} == {(2, 3), (1, 2)}
@@ -487,14 +486,14 @@ def test_dead_ended_walk_is_priced_by_the_full_search():
 
 
 def test_depth_first_search_backs_out_of_a_dead_end():
-    # while no pair needs the full graph, the search backs out of 2 and
-    # finds the path through 1, so scipy's search is not needed
+    # while every pair is trusted, the search backs out of 2 and finds the
+    # path through 1, so scipy's search is not needed
     ps, g = dead_end()
     forward = verify._forward_rows(ps, g.edges)
     assert verify._search_forward(ps, forward, 0, 3) == 3.0
     assert verify._search_forward(ps, forward, 2, 3) == math.inf
     with mock.patch.object(verify, "_price_pairs", no_full_search):
-        assert verify._price_exact(ps, forward, None, g.edges, [(3, 0)]) == ([3.0], [True])
+        assert verify._price_exact(ps, g.edges, [(3, 0)], [True]) == ([3.0], [True])
 
 
 @pytest.mark.parametrize(
@@ -507,7 +506,6 @@ def test_depth_first_search_backs_out_of_a_dead_end():
 )
 def test_depth_first_search_stops_at_its_first_vain_search(pairs, searched):
     ps, g = dead_end()
-    forward = verify._forward_rows(ps, g.edges)
     calls = []
 
     def spy(ps, forward, start, goal):
@@ -516,7 +514,7 @@ def test_depth_first_search_stops_at_its_first_vain_search(pairs, searched):
 
     search_forward = verify._search_forward
     with mock.patch.object(verify, "_search_forward", spy):
-        lengths, exact = verify._price_exact(ps, forward, None, g.edges, pairs)
+        lengths, exact = verify._price_exact(ps, g.edges, pairs, [True] * len(pairs))
     assert calls == searched
     # 2 reaches 3 only back through 0: 2 + 1 + 2
     want = {(3, 0): (3.0, True), (2, 3): (5.0, False), (0, 1): (1.0, True)}
@@ -524,17 +522,22 @@ def test_depth_first_search_stops_at_its_first_vain_search(pairs, searched):
 
 
 @pytest.mark.parametrize(
-    "oracle, trusted", [(True, True), (False, [True, False]), (False, [False, True])]
+    "pairs, trusted",
+    [
+        ([(3, 0), (0, 1), (2, 3)], [True, True, False]),
+        ([(3, 0), (0, 1)], [True, False]),
+        ([(3, 0), (0, 1)], [False, True]),
+    ],
+    ids=["untrusted-third-pair", "untrusted-second-pair", "untrusted-dead-end"],
 )
-def test_no_depth_first_search_once_the_full_search_runs(oracle, trusted):
-    """A built matrix, or an untrusted pair, sends the dead ends straight to the full search."""
+def test_no_depth_first_search_once_the_full_search_runs(pairs, trusted):
+    """An untrusted pair in the same call sends the dead ends straight to the full search."""
     ps, g = dead_end()
-    forward = verify._forward_rows(ps, g.edges)
-    mat = verify._oracle_csr(ps, g.edges) if oracle else None
     with mock.patch.object(verify, "_search_forward", side_effect=AssertionError("searched")):
-        lengths, exact = verify._price_exact(ps, forward, mat, g.edges, [(3, 0), (0, 1)], trusted)
-    assert lengths == [3.0, 1.0]
-    assert exact == [True, True]
+        lengths, exact = verify._price_exact(ps, g.edges, pairs, trusted)
+    # 2 reaches 3 only back through 0: 2 + 1 + 2
+    want = {(3, 0): (3.0, True), (0, 1): (1.0, True), (2, 3): (5.0, False)}
+    assert list(zip(lengths, exact)) == [want[p] for p in pairs]
 
 
 @settings(max_examples=40, deadline=None)
@@ -693,6 +696,43 @@ def test_half_clique_cross_pairs_read_inf():
     assert rep.violations and not rep.passed
 
 
+@settings(max_examples=30, deadline=None)
+@given(
+    n=st.integers(min_value=20, max_value=140),
+    ell=st.integers(min_value=1, max_value=2),
+    model=st.sampled_from(["uniform", "clustered", "expgaps"]),
+    drop=st.floats(min_value=0.0, max_value=0.6),
+    seed=st.integers(min_value=0, max_value=2**16),
+    oracle_sample=st.sampled_from([0, 20, 500]),
+)
+def test_priced_violations_are_full_graph_lengths_property(
+    n, ell, model, drop, seed, oracle_sample
+):
+    """Priced in one call with the oracle and stretch pairs, each violation has its exact length.
+
+    The length is the brute-force oracle's, null for an unreachable pair;
+    only the first 512 are priced.
+    """
+    ps, scheme, g, fs, _ = dropped_instance(n, ell, model, drop, seed)
+    rep = sp.verify_robust_spanner(g, ps, scheme, fs, oracle_sample=oracle_sample, seed=seed)
+    lengths = sp.brute_force_oracle(g, ps, fs)
+    for i, (x, y, d) in enumerate(rep.violations):
+        want = lengths[(x, y)]
+        assert d == (None if i >= 512 or math.isinf(want) else want)
+
+
+def test_one_full_search_prices_violations_and_oracle_pairs():
+    """A verify with violations and oracle pairs the reach denies calls scipy's search once."""
+    ps, g = dead_end()
+    with mock.patch.object(verify, "_price_pairs", wraps=verify._price_pairs) as full:
+        rep = sp.verify_robust_spanner(g, ps, sp.build_scheme(4, 1), frozenset(), seed=1)
+    assert rep.violations and full.call_count == 1
+    # the violations come first, then the denied oracle pairs
+    priced = full.call_args.args[1]
+    assert priced[: len(rep.violations)] == [(x, y) for x, y, _ in rep.violations]
+    assert len(priced) > len(rep.violations)
+
+
 def test_detour_within_tolerance_reaches_the_full_search():
     # 0 and 1 meet only through 2, which sits 1e-14 past 1: the forward copy
     # has no path, but the detour passes the oracle's 1e-12 test
@@ -714,21 +754,21 @@ def test_flipped_exact_pair_reports_full_graph_length(monkeypatch):
     assert price_forward(ps, g.edges, [(1, 4)]) == [3.0000000000000004]
     exact = sp.brute_force_oracle(g, ps, frozenset())
     assert exact[(1, 4)] == 3.0
-    forward = []
-    unspied = verify._price_forward
+    full = []
+    unspied = verify._price_pairs
 
-    def spy(ps, rows, pairs):
-        lengths = unspied(ps, rows, pairs)
-        forward.extend(zip(pairs, lengths))
-        return lengths
+    def spy(mat, pairs):
+        full.extend(pairs)
+        return unspied(mat, pairs)
 
     # every link is an edge, so without the planted break no row is read
     monkeypatch.setattr(verify, "_broken_links", a_broken_link)
     monkeypatch.setattr(verify, "_forward_reach", flipped_reach([1]))
-    monkeypatch.setattr(verify, "_price_forward", spy)
+    monkeypatch.setattr(verify, "_price_pairs", spy)
     rep = sp.verify_robust_spanner(g, ps, sp.build_scheme(5, 1), frozenset(), seed=0)
-    # (1, 4) is drawn first and walks its only forward path
-    assert forward[0] == ((1, 4), 3.0000000000000004)
+    # (1, 4) is drawn first; the reach denies it, so it follows the violations
+    # into the full search
+    assert full[len(rep.violations)] == (1, 4)
     assert set(rep.oracle_mismatches) == {(1, y, exact[(1, y)]) for y in (2, 3, 4)}
 
 
