@@ -59,6 +59,8 @@ def _add_instance_flags(p: argparse.ArgumentParser) -> None:
 
 def _resolve_instance(args):
     if args.points is not None:
+        if args.model is not None:
+            raise ValueError("--model does not apply to --points")
         ps = load_points(args.points)
     elif args.n is not None:
         ps = generate_points(args.n, args.model or "uniform", args.seed)

@@ -53,13 +53,6 @@ class ClosureTrace:
         return _members(self.joined <= self.ell)
 
     @cached_property
-    def per_layer(self) -> tuple:
-        """Snapshots F_0 .. F_ell."""
-        sets = [_members(self.joined <= i) for i in range(len(self.hits) + 1)]
-        # complete mode records no layers: every snapshot is F
-        return tuple(sets) + (sets[-1],) * (self.ell - len(self.hits))
-
-    @cached_property
     def triggered(self) -> tuple:
         """Every triggering tile as a ``HalfClusterRef``, layer by layer, left to right."""
         layers = enumerate(self.hits, 1)

@@ -26,23 +26,22 @@ each under the mask of the targets above it; a sampled check then reads
 the bits of only the pairs whose row misses a target. The oracle reads
 its bits straight off the rows.
 
-The oracle certifies exactness on a directed copy of the alive edges,
-each pointing from its smaller to its larger coordinate, before any full
-search: a path in the copy never backtracks, so it has the gap as its
-length up to rounding, and one path per pair suffices. A walk takes at
-each step the head with the largest coordinate not past its goal, and
-all pairs step together, one ``searchsorted`` in the copy's sorted keys
-per step. A verify prices all its pairs in one call: violations, sampled
+The oracle certifies exactness on a directed copy of the alive edges in
+coordinate ranks, each edge the key ``r * n + h`` from its smaller rank
+to its larger, sorted: a path in the copy never backtracks, so it has
+the gap as its length up to rounding, and one path per pair suffices. A
+walk takes at each step the head with the largest rank not past its
+goal, and all pairs step together, one ``searchsorted`` in the keys per
+step. A verify prices all its pairs in one call: violations, sampled
 pairs and ignored-set stretch pairs. Violations and sampled pairs the
 reach denies are not trusted and skip the walk. A walk that dead-ends
 reads inf; while every pair is trusted, such a pair is searched again
 depth-first on the copy, which backs out of dead ends. Untrusted and
-uncertified pairs are searched together on the whole alive graph, whose
-matrix is built, and scipy imported, only then. A stretch pair that
-passes the oracle's tolerance test has stretch exactly 1. The copy is
-built from the edge array and the coordinates alone, never from the
-links, the bitset reach or index order, so the oracle stays independent
-of the combinatorial criterion.
+uncertified pairs go to the one Dijkstra call, on the whole alive graph,
+whose matrix is built, and scipy imported, only then. A stretch pair
+that passes the oracle's tolerance test has stretch exactly 1. Ranks
+come from the coordinates alone, never from the links, the bitset reach
+or index order, so the oracle stays independent of the criterion.
 """
 
 from __future__ import annotations
@@ -179,36 +178,31 @@ def _oracle_csr(ps: PointSet, edges: np.ndarray):
 
 
 def _forward_rows(ps: PointSet, edges: np.ndarray):
-    """The alive ``edges`` pointed up the line, as rows ordered by coordinate.
+    """The alive ``edges`` pointed up the line, as rows in coordinate ranks.
 
-    An edge runs from its smaller to its larger coordinate. Returns
-    ``(indptr, heads, keys, rank)``: ``rank[v]`` is v's place in coordinate
-    order, ``heads[indptr[v]:indptr[v + 1]]`` lists the heads of v's edges
-    in increasing coordinate, and ``keys`` holds ``tail * n + rank[head]``
-    per head, sorted. Direction and order are read off the coordinates
+    Returns ``(indptr, keys, rank, coords)``: ``rank[v]`` is v's place in
+    coordinate order and ``coords`` the coordinates in that order. An edge
+    runs from its smaller rank ``r`` to its larger ``h``, kept as the key
+    ``r * n + h``; sorted, ``keys[indptr[r]:indptr[r + 1]]`` is row ``r``,
+    its heads in increasing coordinate. Rank is read off the coordinates
     alone, never off vertex indices.
     """
     n = ps.n
-    ends = ps.coords[edges]
-    up = ends[:, 0] < ends[:, 1]
-    tail = np.where(up, edges[:, 0], edges[:, 1])
-    head = np.where(up, edges[:, 1], edges[:, 0])
+    order = np.argsort(ps.coords, kind="stable")
     rank = np.empty(n, dtype=np.int64)
-    rank[np.argsort(ps.coords, kind="stable")] = np.arange(n)
-    keys = tail * n + rank[head]
+    rank[order] = np.arange(n)
+    a, b = rank[edges.T]
+    keys = np.minimum(a, b) * n + np.maximum(a, b)
     # edges arrive sorted, so this stable sort runs on near-sorted keys
-    order = np.argsort(keys, kind="stable")
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(tail, minlength=n), out=indptr[1:])
-    return indptr, head[order], keys[order], rank
+    keys.sort(kind="stable")
+    indptr = np.searchsorted(keys, np.arange(n + 1) * n)
+    return indptr, keys, rank, ps.coords[order]
 
 
 def brute_force_oracle(
     graph: SpannerGraph, ps: PointSet, failures, limit: int = 512
 ) -> dict:
     """Exact shortest-path length for every alive pair (u < v), inf allowed."""
-    from scipy.sparse.csgraph import dijkstra
-
     if graph.n != ps.n:
         raise SchemeMismatch(f"graph n={graph.n} vs point set n={ps.n}")
     if graph.n > limit:
@@ -216,11 +210,12 @@ def brute_force_oracle(
     dead = np.zeros(graph.n, dtype=bool)
     dead[failure_indices(failures, graph.n)] = True
     alive = np.flatnonzero(~dead)
-    if not alive.size:
+    if alive.size < 2:
         return {}
-    rows = dijkstra(_oracle_csr(ps, _alive_edges(graph, dead)), indices=alive)
     i, j = np.triu_indices(alive.size, 1)
-    return dict(zip(zip(alive[i].tolist(), alive[j].tolist()), rows[i, alive[j]].tolist()))
+    us, vs = alive[i], alive[j]
+    lengths = _price_pairs(_oracle_csr(ps, _alive_edges(graph, dead)), us, vs)
+    return dict(zip(zip(us.tolist(), vs.tolist()), lengths.tolist()))
 
 
 @dataclass(frozen=True)
@@ -296,64 +291,61 @@ def _sample_pairs(rng, pool: np.ndarray, count: int):
     return np.minimum(u, v), np.maximum(u, v)
 
 
-def _price_pairs(mat, pairs):
-    """Shortest-path length per pair in ``mat``, via one multi-source run."""
+def _price_pairs(mat, us, vs) -> np.ndarray:
+    """Length from ``us[i]`` to ``vs[i]`` in ``mat``, by the oracle's one Dijkstra call."""
     from scipy.sparse.csgraph import dijkstra
 
-    sources = sorted({u for u, _ in pairs})
-    rows = dijkstra(mat, indices=sources)
-    index = {s: i for i, s in enumerate(sources)}
-    return [float(rows[index[u]][v]) for u, v in pairs]
+    sources, row = np.unique(us, return_inverse=True)
+    return dijkstra(mat, indices=sources)[row, vs]
 
 
-def _price_forward(ps: PointSet, forward, pairs):
+def _price_forward(forward, pairs):
     """Length of one path per pair on the ``_forward_rows`` copy that never backtracks, or inf.
 
-    Each pair is walked from its endpoint with the smaller coordinate to
-    the other, its goal, taking at each vertex the head with the largest
-    coordinate not past the goal. Every such path has the gap as its
-    length, up to rounding, so any one will do; the length is summed along
-    it in path order. All pairs step together: a step from ``v`` takes the
-    last sorted key at or below ``v * n + rank[goal]``, which is v's head
-    to take when it lies in v's row. A walk that finds none there reads inf.
+    Each pair is mapped to ranks and walked from its smaller rank to its
+    larger, its goal, taking at each vertex the head with the largest rank
+    not past the goal. Every such path has the gap as its length, up to
+    rounding, so any one will do; the length is summed along it in path
+    order. All pairs step together: a step from rank ``v`` takes the last
+    sorted key at or below ``v * n + goal``, whose head is ``key - v * n``
+    when the key lies in v's row. A walk that finds none there reads inf.
     """
-    indptr, heads, keys, rank = forward
-    n, c = len(rank), ps.coords
-    ends = np.array(pairs, dtype=np.int64).reshape(-1, 2)
-    rising = c[ends[:, 0]] < c[ends[:, 1]]
-    at = np.where(rising, ends[:, 0], ends[:, 1])
-    goal = np.where(rising, ends[:, 1], ends[:, 0])
-    length = np.zeros(len(ends))
-    walking = np.arange(len(ends))
+    indptr, keys, rank, c = forward
+    n = len(rank)
+    at, goal = np.sort(rank[np.asarray(pairs, dtype=np.int64).reshape(-1, 2)].T, axis=0)
+    length = np.zeros(len(at))
+    walking = np.arange(len(at))
     while walking.size:
         v, to = at[walking], goal[walking]
-        i = np.searchsorted(keys, v * n + rank[to], side="right") - 1
+        i = np.searchsorted(keys, v * n + to, side="right") - 1
         step = i >= indptr[v]
         length[walking[~step]] = math.inf
-        walking, v, to, w = walking[step], v[step], to[step], heads[i[step]]
-        length[walking] += np.abs(c[w] - c[v])
+        walking, v, to = walking[step], v[step], to[step]
+        w = keys[i[step]] - v * n
+        length[walking] += c[w] - c[v]
         at[walking] = w
         walking = walking[w != to]
     return length.tolist()
 
 
-def _search_forward(ps: PointSet, forward, start: int, goal: int) -> float:
-    """Length of a path from ``start`` up to ``goal`` on the ``_forward_rows`` copy, or inf.
+def _search_forward(forward, u: int, v: int) -> float:
+    """Length of a path between ``u`` and ``v`` on the ``_forward_rows`` copy, or inf.
 
-    A depth-first search that tries at each vertex its heads not past the
-    goal, the largest coordinate first, so its first descent is the walk of
-    ``_price_forward``; from a dead end it backs up to the next head not
-    yet tried. It enters every vertex at most once, so it reads each edge
-    below the goal at most once. The length is summed along the path found,
-    in path order.
+    A depth-first search from the pair's smaller rank up to its larger, the
+    goal, that tries at each vertex its heads not past the goal, the largest
+    rank first, so its first descent is the walk of ``_price_forward``; from
+    a dead end it backs up to the next head not yet tried. It enters every
+    vertex at most once, so it reads each edge below the goal at most once.
+    The length is summed along the path found, in path order.
     """
-    indptr, heads, keys, rank = forward
-    n, bound, c = len(rank), int(rank[goal]), ps.coords
+    indptr, keys, rank, c = forward
+    n = len(rank)
+    start, goal = sorted(rank[[u, v]].tolist())
 
-    def ahead(v):
-        """v's heads not past the goal, the largest coordinate first."""
-        end = np.searchsorted(keys, v * n + bound, side="right")
-        return reversed(heads[indptr[v] : end].tolist())
+    def ahead(r):
+        """r's heads not past the goal, the largest rank first."""
+        end = np.searchsorted(keys, r * n + goal, side="right")
+        return reversed((keys[indptr[r] : end] - r * n).tolist())
 
     path, tries, seen = [start], [ahead(start)], {start}
     while tries:
@@ -364,7 +356,7 @@ def _search_forward(ps: PointSet, forward, start: int, goal: int) -> float:
             continue
         path.append(w)
         if w == goal:
-            return float(sum(abs(c[b] - c[a]) for a, b in zip(path, path[1:])))
+            return float(sum(c[b] - c[a] for a, b in zip(path, path[1:])))
         seen.add(w)
         tries.append(ahead(w))
     return math.inf
@@ -395,19 +387,17 @@ def _price_exact(ps: PointSet, edges, pairs, trusted):
     walked = np.flatnonzero(trusted)
     if walked.size:
         forward = _forward_rows(ps, edges)
-        lengths[walked] = _price_forward(ps, forward, ends[walked])
+        lengths[walked] = _price_forward(forward, ends[walked])
     exact = trusted & _within_tolerance(lengths, wants)
     if trusted.all():
         for i in np.flatnonzero(~exact).tolist():
-            u, v = pairs[i]
-            lo, hi = (u, v) if ps.coords[u] < ps.coords[v] else (v, u)
-            lengths[i] = _search_forward(ps, forward, lo, hi)
+            lengths[i] = _search_forward(forward, *pairs[i])
             exact[i] = _within_tolerance(lengths[i], wants[i])
             if not exact[i]:
                 break
     full = np.flatnonzero(~exact)
     if full.size:
-        lengths[full] = _price_pairs(_oracle_csr(ps, edges), [pairs[i] for i in full.tolist()])
+        lengths[full] = _price_pairs(_oracle_csr(ps, edges), ends[full, 0], ends[full, 1])
         exact[full] = _within_tolerance(lengths[full], wants[full])
     return lengths.tolist(), exact.tolist()
 

@@ -4,7 +4,9 @@ Run from the repository root as ``PYTHONPATH=src python tests/report_grid.py``.
 It prints one line, ``reports failing sha256-prefix``: the number of
 reports, how many fail, and the first 16 hex digits of the sha256 of their
 ``to_json()`` texts joined in loop order. Two trees whose lines agree write
-the same reports on the whole grid.
+the same reports on the whole grid. It exits 1 when its line differs from
+``EXPECTED``, the line of the reports as they stand: a change that alters a
+report on purpose says so by updating it.
 
 The grid: ``n`` in {216, 500, 700, 1024, 1296, 2048}, ``ell`` 1-3, uniform,
 clustered and expgaps points at point seed 3; each spanner intact, and
@@ -18,6 +20,8 @@ import hashlib
 import numpy as np
 
 import spanner1d as sp
+
+EXPECTED = "1080 282 724967ac61a3450e"
 
 FLAG_SETS = [
     {},
@@ -49,8 +53,10 @@ def main():
         digest.update(rep.to_json().encode())
         count += 1
         failing += not rep.passed
-    print(count, failing, digest.hexdigest()[:16])
+    line = f"{count} {failing} {digest.hexdigest()[:16]}"
+    print(line)
+    return 0 if line == EXPECTED else 1
 
 
 if __name__ == "__main__":
-    main()
+    raise SystemExit(main())

@@ -102,6 +102,18 @@ def test_verify_of_a_stored_graph_refuses_instance_flags(tmp_path, capsys, flags
     assert capsys.readouterr().err == f"error: {flags[0]} does not apply to a stored --graph\n"
 
 
+@pytest.mark.parametrize("command", ["build", "verify"])
+def test_points_file_refuses_a_point_model(tmp_path, capsys, command):
+    """The file fixes the points, so a model beside it is an error, not ignored."""
+    pts = tmp_path / "pts.txt"
+    sp.write_points(sp.generate_points(4, "uniform", 3), pts)
+    out = ["--out", str(tmp_path / "g")] if command == "build" else []
+    argv = [command, *out, "--points", str(pts), "--model", "clustered", "--ell", "1"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "error: --model does not apply to --points\n"
+    assert not list(tmp_path.glob("g.*"))
+
+
 def test_verify_fresh_build_with_failure_file(tmp_path, capsys):
     f = tmp_path / "f.txt"
     f.write_text("3, 7\n")

@@ -12,6 +12,11 @@ from spanner1d.core import failure_indices
 from spanner1d.experiments import make_rng
 
 
+def layer_snapshots(trace):
+    """The snapshots F_0 .. F_ell, each the vertices that joined by its layer."""
+    return [frozenset(np.flatnonzero(trace.joined <= i).tolist()) for i in range(trace.ell + 1)]
+
+
 def test_half_threshold_rounds_up():
     assert [half_threshold(s) for s in range(1, 8)] == [1, 1, 2, 2, 3, 3, 4]
 
@@ -26,7 +31,7 @@ def test_empty_failures_stay_empty():
 def test_complete_mode_adds_nothing():
     trace = compute_closure(sp.build_scheme(10, 1), frozenset({2, 5}))
     assert trace.f_star == frozenset({2, 5})
-    assert len(trace.per_layer) == 2
+    assert layer_snapshots(trace) == [frozenset({2, 5})] * 2
     assert trace.triggered == ()
 
 
@@ -64,7 +69,8 @@ def test_cascade_reaches_higher_layer():
     trace = compute_closure(scheme, frozenset({0, 1}))
     layers_hit = {ev.layer for ev in trace.triggered}
     assert layers_hit == {1, 2}
-    assert trace.per_layer[0] < trace.per_layer[1] < trace.per_layer[2]
+    snapshots = layer_snapshots(trace)
+    assert snapshots[0] < snapshots[1] < snapshots[2]
 
 
 def test_complete_mode_depth_builds_nothing_per_layer():
@@ -131,8 +137,9 @@ def test_closure_monotone_property(n, ell, data):
     )
     trace = compute_closure(scheme, fs)
     assert trace.failures == fs
-    assert len(trace.per_layer) == ell + 1
-    for a, b in zip(trace.per_layer, trace.per_layer[1:]):
+    snapshots = layer_snapshots(trace)
+    assert len(snapshots) == ell + 1
+    for a, b in zip(snapshots, snapshots[1:]):
         assert a <= b
     assert fs <= trace.f_star
 
@@ -152,7 +159,7 @@ def test_closure_additions_are_triggered_clusters(n, ell, data):
     )
     trace = compute_closure(scheme, fs)
     per_layer, triggered = simple_closure(n, ell, fs)
-    assert list(trace.per_layer) == per_layer
+    assert layer_snapshots(trace) == per_layer
     assert [(t.layer, t.lo, t.hi) for t in trace.triggered] == triggered
 
 
@@ -188,10 +195,11 @@ def test_dense_closure_matches_reference_property(inst):
     n, ell, fs = inst
     trace = compute_closure(sp.build_scheme(n, ell), fs)
     per_layer, triggered = simple_closure(n, ell, fs)
-    assert list(trace.per_layer) == per_layer
+    snapshots = layer_snapshots(trace)
+    assert snapshots == per_layer
     assert [(t.layer, t.lo, t.hi) for t in trace.triggered] == triggered
-    assert len(trace.per_layer) == ell + 1
-    for i, snapshot in enumerate(trace.per_layer):
+    assert len(snapshots) == ell + 1
+    for i, snapshot in enumerate(snapshots):
         assert snapshot == {v for v in range(n) if trace.joined[v] <= i}
     assert trace.failures == fs and len(trace.failures) == trace.f_size
     assert trace.f_star == per_layer[-1] and len(trace.f_star) == trace.f_star_size

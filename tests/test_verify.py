@@ -2,6 +2,7 @@ import contextlib
 import dataclasses
 import json
 import math
+import types
 from unittest import mock
 
 import numpy as np
@@ -138,6 +139,20 @@ def test_oracle_matches_per_pair_reference(n, ell, drop, seed):
     assert all(type(x) is type(y) is int and type(d) is float for (x, y), d in got.items())
     if drop:
         assert any(math.isinf(d) for d in got.values())
+
+
+def test_oracle_prices_every_pair_in_one_full_search():
+    """No alive vertex and one alive vertex give no pair; two components read inf across."""
+    ps = sp.make_point_set([0.0, 1.0, 2.0, 3.0])
+    g = sp.SpannerGraph(4, [(0, 1), (2, 3)])
+    with mock.patch.object(verify, "_price_pairs", wraps=verify._price_pairs) as full:
+        assert sp.brute_force_oracle(g, ps, frozenset(range(4))) == {}
+        assert sp.brute_force_oracle(g, ps, frozenset({0, 1, 3})) == {}
+        assert full.call_count == 0
+        lengths = sp.brute_force_oracle(g, ps, frozenset())
+    assert full.call_count == 1
+    across = dict.fromkeys([(0, 2), (0, 3), (1, 2), (1, 3)], math.inf)
+    assert list(lengths.items()) == list(({(0, 1): 1.0} | across | {(2, 3): 1.0}).items())
 
 
 def test_oracle_size_guard():
@@ -331,15 +346,15 @@ def test_oracle_mismatch_on_exact_pair_reports_gap(monkeypatch):
 
 def price_forward(ps, edges, pairs):
     """``_price_forward`` on the forward copy of ``edges``."""
-    return verify._price_forward(ps, verify._forward_rows(ps, edges), pairs)
+    return verify._price_forward(verify._forward_rows(ps, edges), pairs)
 
 
-def never_certify(ps, forward, pairs):
+def never_certify(forward, pairs):
     """``_price_forward`` with no forward path found, so every pair takes the full search."""
     return [math.inf] * len(pairs)
 
 
-def never_search(ps, forward, start, goal):
+def never_search(forward, u, v):
     """``_search_forward`` finding no path, so a dead-ended walk takes the full search."""
     return math.inf
 
@@ -464,8 +479,8 @@ def dead_end():
     return ps, sp.SpannerGraph(4, [(0, 1), (0, 2), (1, 3)])
 
 
-def no_full_search(mat, pairs):
-    raise AssertionError(f"full search for {len(pairs)} pairs")
+def no_full_search(mat, us, vs):
+    raise AssertionError(f"full search for {len(us)} pairs")
 
 
 def test_dead_ended_walk_is_priced_by_the_full_search():
@@ -490,8 +505,8 @@ def test_depth_first_search_backs_out_of_a_dead_end():
     # path through 1, so scipy's search is not needed
     ps, g = dead_end()
     forward = verify._forward_rows(ps, g.edges)
-    assert verify._search_forward(ps, forward, 0, 3) == 3.0
-    assert verify._search_forward(ps, forward, 2, 3) == math.inf
+    assert verify._search_forward(forward, 0, 3) == 3.0
+    assert verify._search_forward(forward, 2, 3) == math.inf
     with mock.patch.object(verify, "_price_pairs", no_full_search):
         assert verify._price_exact(ps, g.edges, [(3, 0)], [True]) == ([3.0], [True])
 
@@ -499,18 +514,19 @@ def test_depth_first_search_backs_out_of_a_dead_end():
 @pytest.mark.parametrize(
     "pairs, searched",
     [
-        ([(3, 0), (2, 3)], [(0, 3), (2, 3)]),
+        ([(3, 0), (2, 3)], [(3, 0), (2, 3)]),
         ([(2, 3), (3, 0)], [(2, 3)]),  # the first search is vain: the rest go to the full search
-        ([(0, 1), (3, 0), (2, 3)], [(0, 3), (2, 3)]),  # a certified walk is not searched
+        ([(0, 1), (3, 0), (2, 3)], [(3, 0), (2, 3)]),  # a certified walk is not searched
     ],
 )
 def test_depth_first_search_stops_at_its_first_vain_search(pairs, searched):
+    """Each uncertified pair is searched as given, the search orienting it itself."""
     ps, g = dead_end()
     calls = []
 
-    def spy(ps, forward, start, goal):
-        calls.append((start, goal))
-        return search_forward(ps, forward, start, goal)
+    def spy(forward, u, v):
+        calls.append((u, v))
+        return search_forward(forward, u, v)
 
     search_forward = verify._search_forward
     with mock.patch.object(verify, "_search_forward", spy):
@@ -560,7 +576,7 @@ def test_depth_first_search_certifies_exactly_the_dijkstra_pairs_property(
     ends = zip(xs.tolist(), ys.tolist())
     pairs = [(x, y) if ps.coords[x] < ps.coords[y] else (y, x) for x, y in ends]
     forward = verify._forward_rows(ps, alive_edges(g, fs))
-    got = certified(ps, pairs, [verify._search_forward(ps, forward, x, y) for x, y in pairs])
+    got = certified(ps, pairs, [verify._search_forward(forward, x, y) for x, y in pairs])
     want = certified(ps, pairs, dijkstra_price_forward(g, ps, fs, pairs))
     assert got == want
 
@@ -581,7 +597,7 @@ def test_dead_ends_on_a_spanner_take_no_full_search(model):
     search_forward = verify._search_forward
 
     def spy(*args):
-        calls.append(args[2:])
+        calls.append(args[1:])
         return search_forward(*args)
 
     with mock.patch.object(verify, "_search_forward", spy), \
@@ -594,21 +610,25 @@ def test_dead_ends_on_a_spanner_take_no_full_search(model):
     assert rep.passed
 
 
-def walk_price_forward(ps, forward, pairs):
+def walk_price_forward(ps, edges, pairs):
     """The greedy walk one pair at a time, as the batched walk's reference.
 
     Each pair walks from its endpoint with the smaller coordinate and at each
     vertex takes the head with the largest coordinate not past the other
     endpoint, its goal; a vertex with no such head ends the walk at inf. The
-    heads are read off ``indptr`` and ``heads`` alone, never the sorted keys.
+    heads are read off the coordinates and the alive ``edges`` alone, never
+    off the forward copy.
     """
-    indptr, heads = forward[:2]
     c = ps.coords.tolist()
+    heads = [[] for _ in c]
+    for x, y in edges.tolist():
+        lo, hi = (x, y) if c[x] < c[y] else (y, x)
+        heads[lo].append(hi)
 
     def walk(v, goal):
         d = 0.0
         while v != goal:
-            ahead = [w for w in heads[indptr[v] : indptr[v + 1]].tolist() if c[w] <= c[goal]]
+            ahead = [w for w in heads[v] if c[w] <= c[goal]]
             if not ahead:
                 return math.inf
             w = max(ahead, key=c.__getitem__)
@@ -643,8 +663,37 @@ def test_batched_walk_matches_per_pair_search_property(n, ell, model, drop, seed
     xs, ys = _sample_pairs(rng, alive, count)
     flip = rng.random(count) < 0.5
     pairs = list(zip(np.where(flip, ys, xs).tolist(), np.where(flip, xs, ys).tolist()))
-    forward = verify._forward_rows(ps, alive_edges(g, fs))
-    assert verify._price_forward(ps, forward, pairs) == walk_price_forward(ps, forward, pairs)
+    edges = alive_edges(g, fs)
+    assert price_forward(ps, edges, pairs) == walk_price_forward(ps, edges, pairs)
+
+
+@pytest.mark.parametrize(
+    "n, ell, model, seed", [(60, 1, "uniform", 0), (140, 2, "expgaps", 3), (100, 2, "clustered", 5)]
+)
+def test_forward_copy_prices_in_coordinate_ranks_not_index_order(n, ell, model, seed):
+    """Relabelled so that index order is not coordinate order, an instance prices the same.
+
+    The vertices and the edge labels are permuted, and the point set is
+    duck-typed, since a ``PointSet`` holds its coordinates sorted. The walk
+    and the depth-first search must give the sorted instance's lengths.
+    """
+    ps, _, g, fs, rng = dropped_instance(n, ell, model, 0.3, seed)
+    edges = alive_edges(g, fs)
+    xs, ys = _sample_pairs(rng, np.array(sorted(set(range(n)) - fs)), 300)
+    pairs = np.stack([xs, ys], 1)
+    label = rng.permutation(n)
+    coords = np.empty(n)
+    coords[label] = ps.coords
+    shuffled = types.SimpleNamespace(coords=coords, n=n)
+    assert not (np.diff(coords) > 0).all()
+    sorted_copy = verify._forward_rows(ps, edges)
+    shuffled_copy = verify._forward_rows(shuffled, label[edges])
+    want = verify._price_forward(sorted_copy, pairs)
+    assert verify._price_forward(shuffled_copy, label[pairs]) == want
+    searched = [verify._search_forward(sorted_copy, x, y) for x, y in pairs.tolist()]
+    relabelled = [verify._search_forward(shuffled_copy, x, y) for x, y in label[pairs].tolist()]
+    assert relabelled == searched
+    assert any(math.isfinite(d) for d in want)
 
 
 @pytest.mark.parametrize("n, ell", [(700, 2), (1296, 3)])
@@ -657,7 +706,7 @@ def test_walk_to_the_goal_takes_no_depth_first_search(instance, n, ell):
     ps, _, g = instance(n, ell)
     xs, ys = _sample_pairs(np.random.default_rng(n), np.arange(n), 500)
     pairs = list(zip(xs.tolist(), ys.tolist()))
-    lengths = verify._price_forward(ps, verify._forward_rows(ps, g.edges), pairs)
+    lengths = price_forward(ps, g.edges, pairs)
     assert all(certified(ps, pairs, lengths))
     # the dead end of test_dead_ended_walk_is_priced_by_the_full_search, in a
     # batch with pairs on either side of it that walk to their goal
@@ -728,7 +777,8 @@ def test_one_full_search_prices_violations_and_oracle_pairs():
         rep = sp.verify_robust_spanner(g, ps, sp.build_scheme(4, 1), frozenset(), seed=1)
     assert rep.violations and full.call_count == 1
     # the violations come first, then the denied oracle pairs
-    priced = full.call_args.args[1]
+    us, vs = full.call_args.args[1:]
+    priced = list(zip(us.tolist(), vs.tolist()))
     assert priced[: len(rep.violations)] == [(x, y) for x, y, _ in rep.violations]
     assert len(priced) > len(rep.violations)
 
@@ -757,9 +807,9 @@ def test_flipped_exact_pair_reports_full_graph_length(monkeypatch):
     full = []
     unspied = verify._price_pairs
 
-    def spy(mat, pairs):
-        full.extend(pairs)
-        return unspied(mat, pairs)
+    def spy(mat, us, vs):
+        full.extend(zip(us.tolist(), vs.tolist()))
+        return unspied(mat, us, vs)
 
     # every link is an edge, so without the planted break no row is read
     monkeypatch.setattr(verify, "_broken_links", a_broken_link)
