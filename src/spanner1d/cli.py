@@ -22,7 +22,9 @@ import math
 import sys
 from pathlib import Path
 
-from .builder import build_spanner, edge_count_bound, read_edge_list, write_edge_list
+from .builder import (
+    SchemeMismatch, build_spanner, edge_count_bound, read_edge_list, write_edge_list
+)
 from .core import load_failures, load_points, write_points
 from .experiments import (
     FAILURE_MODELS,
@@ -35,12 +37,7 @@ from .experiments import (
     run_scaling,
     summarize_closure,
 )
-from .scheme import (
-    build_scheme,
-    choose_ell_for_epsilon,
-    scheme_from_json,
-    scheme_to_json,
-)
+from .scheme import build_scheme, choose_ell_for_epsilon, scheme_from_json, scheme_to_json
 from .verify import verify_robust_spanner
 
 
@@ -134,6 +131,9 @@ def cmd_verify(args) -> int:
         prefix = str(args.graph)
         ps = load_points(prefix + ".points")
         scheme = scheme_from_json(Path(prefix + ".scheme.json").read_text())
+        # before the edges are read or failures drawn, both sized by the scheme
+        if ps.n != scheme.n:
+            raise SchemeMismatch(f"point set has n={ps.n} but stored scheme has n={scheme.n}")
         graph = read_edge_list(prefix + ".edges", n=scheme.n)
     else:
         ps, scheme = _resolve_instance(args)

@@ -84,7 +84,8 @@ def compute_closure(scheme: LayeredScheme, failures) -> ClosureTrace:
     tile_joined = np.full(len(kept1), np.int64(ell + 1))
     hits = []
     for layer in range(1, ell + 1):
-        run, width = (2 * m) ** (layer - 1), (2 * m) ** layer // 2
+        width = scheme.tile_width(layer)
+        run = width // m  # layer-1 tiles per tile of this layer
         # counted on F_{layer-1}, before this layer grows it: the snapshot rule
         kept = np.add.reduceat(kept1, np.arange(0, len(kept1), run))
         # every tile is a full half-cluster except possibly a short last one

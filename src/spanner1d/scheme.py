@@ -16,7 +16,8 @@ degenerates and the spanner falls back to the complete graph.
 
 ``(n, ell)`` fix all of it, so nothing per cluster is stored: the tiles
 of a layer are index arithmetic on ``(n, m, layer)``, computed in
-``LayeredScheme.tile_bounds``.
+``LayeredScheme.tile_bounds``, and the JSON form holds only ``n``,
+``ell``, ``m`` and the mode.
 """
 
 from __future__ import annotations
@@ -77,7 +78,11 @@ class LayeredScheme:
         check_vertex(self.n, v)
         if self.complete_mode:
             raise ValueError(f"complete mode (n={self.n}, ell={self.ell}) has no tiles")
-        return v // ((2 * self.m) ** layer // 2)
+        return v // self.tile_width(layer)
+
+    def tile_width(self, layer: int) -> int:
+        """Points in a full half-cluster of a layer, ``(2m)**layer // 2``; unchecked."""
+        return (2 * self.m) ** layer // 2
 
     def tile_bounds(self, layer: int) -> tuple:
         """``(lo, hi)`` arrays of the half-cluster tiles of a layer, left to right.
@@ -90,7 +95,7 @@ class LayeredScheme:
         _check_layer(self, layer)
         if self.complete_mode:
             return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
-        half = (2 * self.m) ** layer // 2
+        half = self.tile_width(layer)
         lo = np.arange(0, self.n, half, dtype=np.int64)
         return lo, np.minimum(lo + half, self.n)
 
@@ -127,8 +132,8 @@ def build_scheme(n: int, ell: int) -> LayeredScheme:
     """Lay out clusters for all layers, or flag complete-graph mode."""
     if n < 1:
         raise ValueError(f"need at least one point, got n={n}")
-    if ell < 1:
-        raise ValueError(f"depth must be at least 1, got ell={ell}")
+    if not 1 <= ell < 2**63 - 1:  # ell + 1 is a closure layer, stored as int64
+        raise ValueError(f"depth must lie in [1, 2**63 - 1), got ell={ell}")
     m = choose_m(n, ell)
     if m < 2:
         return LayeredScheme(n, ell, 0, True)
@@ -150,61 +155,31 @@ def half_clusters_of_layer(s: LayeredScheme, layer: int, tiles=None) -> tuple:
     )
 
 
-def _cluster_rows(s: LayeredScheme) -> list:
-    """Per layer, ``(ordinal, lo, hi)`` of every cluster: tiles j and j+1."""
-    if s.complete_mode:
-        return []
-    rows = []
-    for layer in range(1, s.ell + 1):
-        lo, hi = s.tile_bounds(layer)
-        rows.append(list(zip(range(1, len(lo)), lo[:-1].tolist(), hi[1:].tolist())))
-    return rows
-
-
 def scheme_to_json(s: LayeredScheme) -> str:
-    doc = {
-        "n": s.n,
-        "ell": s.ell,
-        "m": s.m,
-        "mode": "complete" if s.complete_mode else "layered",
-        "layers": [
-            {
-                "layer": i + 1,
-                "clusters": [{"ordinal": o, "lo": lo, "hi": hi} for o, lo, hi in layer],
-            }
-            for i, layer in enumerate(_cluster_rows(s))
-        ],
-    }
-    return json.dumps(doc, indent=2)
+    """The scheme as its four parameters: ``n``, ``ell``, ``m`` and the mode."""
+    mode = "complete" if s.complete_mode else "layered"
+    return json.dumps({"n": s.n, "ell": s.ell, "m": s.m, "mode": mode}, indent=2)
 
 
 def scheme_from_json(text: str) -> LayeredScheme:
-    """Rebuild a scheme from its JSON form, checking the stored layout.
+    """Rebuild a scheme from its four stored parameters and check them.
 
-    A document that is not JSON, nests too deeply to parse, lacks a key,
-    nests the wrong types or stores a size that is not an integer raises
-    ``ValueError`` like a layout that does not match. Cluster counts are
-    compared before any tile array is built, so a huge stored size is
-    rejected without allocating.
+    A document that is not JSON, nests too deeply to parse, is not an
+    object with exactly the keys ``n``, ``ell``, ``m`` and ``mode`` (an
+    older per-cluster ``layers`` listing included), stores a non-integer
+    ``n``, ``ell`` or ``m``, or an ``m`` or mode unlike ``build_scheme``'s
+    raises ``ValueError``. Nothing is laid out, so a huge size allocates nothing.
     """
     try:
         doc = json.loads(text)
-        n, ell = doc["n"], doc["ell"]
-        if type(n) is not int or type(ell) is not int:
-            raise TypeError(f"n={n!r} and ell={ell!r} must be integers")
-        s = build_scheme(n, ell)
-        if doc["m"] != s.m or doc["mode"] != ("complete" if s.complete_mode else "layered"):
-            raise ValueError("stored scheme does not match its own parameters")
-        stored = [
-            [(c["ordinal"], c["lo"], c["hi"]) for c in layer["clusters"]]
-            for layer in doc["layers"]
-        ]
-    except (KeyError, TypeError, RecursionError) as exc:
+        if type(doc) is not dict or doc.keys() != {"n", "ell", "m", "mode"}:
+            raise TypeError("expected an object with exactly the keys n, ell, m and mode")
+        n, ell, m = doc["n"], doc["ell"], doc["m"]
+        if type(n) is not int or type(ell) is not int or type(m) is not int:
+            raise TypeError(f"n={n!r}, ell={ell!r} and m={m!r} must be integers")
+    except (TypeError, RecursionError) as exc:
         raise ValueError(f"malformed stored scheme ({type(exc).__name__}: {exc})") from exc
-    # one cluster fewer than the tiles tile_bounds lays out, counted lazily
-    counts = [] if s.complete_mode else [
-        len(range(0, n, (2 * s.m) ** layer // 2)) - 1 for layer in range(1, ell + 1)
-    ]
-    if [len(layer) for layer in stored] != counts or stored != _cluster_rows(s):
-        raise ValueError("stored cluster layout does not match its own parameters")
+    s = build_scheme(n, ell)
+    if m != s.m or doc["mode"] != ("complete" if s.complete_mode else "layered"):
+        raise ValueError("stored scheme does not match its own parameters")
     return s

@@ -194,11 +194,14 @@ def test_verify_rejects_malformed_scheme_file(tmp_path, capsys):
     out = tmp_path / "g"
     assert main(["build", "--n", "16", "--ell", "1", "--out", str(out)]) == 0
     scheme = tmp_path / "g.scheme.json"
-    doc = json.loads(scheme.read_text())
-    del doc["n"]
-    scheme.write_text(json.dumps(doc))
-    assert main(["verify", "--graph", str(out)]) == 2
-    assert "error: malformed stored scheme" in capsys.readouterr().err
+    good = json.loads(scheme.read_text())
+    assert list(good) == ["n", "ell", "m", "mode"]
+    # a missing key, and the per-cluster listing of earlier versions
+    layers = [{"layer": 1, "clusters": [{"ordinal": 1, "lo": 0, "hi": 4}]}]
+    for doc in ({k: v for k, v in good.items() if k != "n"}, {**good, "layers": layers}):
+        scheme.write_text(json.dumps(doc, indent=2))
+        assert main(["verify", "--graph", str(out)]) == 2
+        assert "error: malformed stored scheme" in capsys.readouterr().err
 
 
 def test_verify_rejects_deeply_nested_scheme_file(tmp_path, capsys):
@@ -262,9 +265,35 @@ def test_verify_rejects_huge_stored_size(tmp_path, capsys):
     doc = json.loads(scheme.read_text())
     doc.update(n=10**18, m=sp.choose_m(10**18, 1))
     scheme.write_text(json.dumps(doc))
-    done = run_capped("verify", "--graph", str(out))
-    assert done.returncode == 2, done.stderr
-    assert "error: stored cluster layout does not match" in done.stderr
+    # sizes are compared before any failure is drawn: a half-cluster wipe of
+    # the stored size would lay out 2e9 tiles
+    for flags in ([], ["--wipe-half", "1:1"]):
+        done = run_capped("verify", "--graph", str(out), *flags)
+        assert done.returncode == 2, done.stderr
+        assert done.stderr == (
+            "error: point set has n=16 but stored scheme has n=1000000000000000000\n"
+        )
+
+
+DEPTH_PAST_INT64 = "error: depth must lie in [1, 2**63 - 1), got ell="
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["build", "--n", "16", "--ell", str(2**63 - 1), "--out", "{out}"],
+        ["build", "--n", "16", "--epsilon", "1e-300", "--out", "{out}"],
+        ["verify", "--n", "16", "--ell", str(2**63 - 1)],
+        ["closure-stats", "--n", "16", "--ell", str(2**63 - 1), "--k", "1"],
+    ],
+    ids=["build", "build-epsilon", "verify", "closure-stats"],
+)
+def test_depth_past_int64_exits_2(tmp_path, capsys, argv):
+    argv = [a.format(out=tmp_path / "g") for a in argv]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(DEPTH_PAST_INT64) and captured.out == ""
+    assert not (tmp_path / "g.scheme.json").exists()
 
 
 def test_verify_failure_model_flags(tmp_path, capsys):

@@ -182,7 +182,25 @@ def test_scheme_json_round_trip():
         assert sp.scheme_from_json(sp.scheme_to_json(s)) == s
 
 
-# sha256 of scheme_to_json, taken before the layout became pure arithmetic
+def listing_json(s):
+    """The per-cluster ``.scheme.json`` text of earlier versions, rebuilt from ``tile_bounds``."""
+    layers = [
+        {
+            "layer": layer,
+            "clusters": [
+                {"ordinal": j, "lo": lo, "hi": hi}
+                for j, (lo, hi) in enumerate(cluster_spans(s, layer), start=1)
+            ],
+        }
+        for layer in (range(1, s.ell + 1) if not s.complete_mode else ())
+    ]
+    mode = "complete" if s.complete_mode else "layered"
+    doc = {"n": s.n, "ell": s.ell, "m": s.m, "mode": mode, "layers": layers}
+    return json.dumps(doc, indent=2)
+
+
+# sha256 of the per-cluster listing, taken before the layout became pure
+# arithmetic: tile_bounds still lays out the same clusters
 SCHEME_JSON_SHA256 = {
     (16, 1): "e0f3cbb26f90aaa5fde78dcda2bbea1246d380ba59d2ba4add2b05e3c3d3d6d1",
     (145, 1): "568820bb1f789385701fc7649d6767f2b2d05347bf55ff589bac3fa1fc595761",
@@ -196,7 +214,7 @@ SCHEME_JSON_SHA256 = {
 
 @pytest.mark.parametrize("n,ell", sorted(SCHEME_JSON_SHA256))
 def test_scheme_json_golden_digest(n, ell):
-    text = sp.scheme_to_json(sp.build_scheme(n, ell))
+    text = listing_json(sp.build_scheme(n, ell))
     assert hashlib.sha256(text.encode()).hexdigest() == SCHEME_JSON_SHA256[(n, ell)]
 
 
@@ -205,31 +223,57 @@ def test_scheme_json_tamper_detected():
     doc["m"] = 3
     with pytest.raises(ValueError):
         sp.scheme_from_json(json.dumps(doc))
-    doc = json.loads(sp.scheme_to_json(sp.build_scheme(16, 1)))
-    doc["layers"][0]["clusters"][0]["hi"] = 5
-    with pytest.raises(ValueError):
-        sp.scheme_from_json(json.dumps(doc))
+    # the listing of earlier versions is an unknown key, even when it is right
+    for listing in (listing_json(sp.build_scheme(16, 1)), listing_json(sp.build_scheme(15, 1))):
+        with pytest.raises(ValueError, match="malformed stored scheme"):
+            sp.scheme_from_json(listing)
     # malformed documents raise ValueError too, not KeyError or TypeError
     good = json.loads(sp.scheme_to_json(sp.build_scheme(16, 1)))
     for bad in (
         {k: v for k, v in good.items() if k != "n"},
         [good],
         {**good, "layers": [{"layer": 1}]},
+        {**good, "extra": None},
+        {k: v for k, v in good.items() if k != "mode"},
         {**good, "n": float("inf")},
         {**good, "n": 16.9},
         {**good, "n": 16.0},
         {**good, "n": "16"},
         {**good, "ell": True},
         {**good, "ell": 1.0},
+        {**good, "m": 2.0},
+        {**json.loads(sp.scheme_to_json(sp.build_scheme(15, 1))), "m": False},
     ):
         with pytest.raises(ValueError, match="malformed stored scheme"):
             sp.scheme_from_json(json.dumps(bad))
-    # a huge stored size whose m matches is rejected on its cluster count,
-    # before any tile array is laid out
+    # a huge stored size whose m matches reads without laying out a tile
     huge = {**good, "n": 10**18, "m": sp.choose_m(10**18, 1)}
     with mock.patch.object(sp.LayeredScheme, "tile_bounds", side_effect=AssertionError):
-        with pytest.raises(ValueError, match="does not match"):
-            sp.scheme_from_json(json.dumps(huge))
+        assert sp.scheme_from_json(json.dumps(huge)) == sp.build_scheme(10**18, 1)
+
+
+# the whole stored document of a layered and a complete-mode scheme
+SCHEME_JSON_TEXT = {
+    (2048, 2): '{\n  "n": 2048,\n  "ell": 2,\n  "m": 6,\n  "mode": "layered"\n}',
+    (15, 1): '{\n  "n": 15,\n  "ell": 1,\n  "m": 0,\n  "mode": "complete"\n}',
+}
+
+
+@pytest.mark.parametrize("n,ell", sorted(SCHEME_JSON_TEXT))
+def test_scheme_json_exact_text(n, ell):
+    s = sp.build_scheme(n, ell)
+    assert sp.scheme_to_json(s) == SCHEME_JSON_TEXT[(n, ell)]
+    assert sp.scheme_from_json(SCHEME_JSON_TEXT[(n, ell)]) == s
+
+
+def test_depth_must_fit_in_int64():
+    """Layer ell + 1 is stored as int64, so the deepest depth is 2**63 - 2."""
+    for ell in (2**63 - 1, 10**300):
+        with pytest.raises(ValueError, match=r"depth must lie in \[1, 2\*\*63 - 1\), got ell="):
+            sp.build_scheme(16, ell)
+    s = sp.build_scheme(16, 2**63 - 2)
+    assert s.complete_mode
+    assert sp.compute_closure(s, {3}).joined.tolist() == [2**63 - 1] * 3 + [0] + [2**63 - 1] * 12
 
 
 @given(st.integers(min_value=1, max_value=3000), st.integers(min_value=1, max_value=3))
