@@ -28,10 +28,6 @@ from .scheme import LayeredScheme
 _WRITE_ROWS = 1 << 16
 
 
-class SchemeMismatch(ValueError):
-    """A graph, point set, or scheme disagree on the number of vertices."""
-
-
 class SpannerGraph:
     """Undirected graph on vertices 0..n-1 with a deduplicated edge set.
 
@@ -73,7 +69,7 @@ class SpannerGraph:
             a, b = arr[int(np.argmax(bad))].tolist()
             if a == b:
                 raise ValueError(f"self-loop at vertex {a}")
-            raise SchemeMismatch(f"edge ({a}, {b}) outside vertex range [0, {self.n})")
+            raise ValueError(f"edge ({a}, {b}) outside vertex range [0, {self.n})")
         # one key u * n + v per edge, built and sorted in place to bound the peak
         keys *= self.n
         keys += high
@@ -139,7 +135,7 @@ def build_spanner(
     a cluster form a contiguous run found by binary search on tile bounds.
     """
     if ps.n != scheme.n:
-        raise SchemeMismatch(f"point set has n={ps.n} but scheme was built for n={scheme.n}")
+        raise ValueError(f"point set has n={ps.n} but scheme was built for n={scheme.n}")
     n = scheme.n
     if scheme.complete_mode:
         rules = [("complete", _pairs_within(np.array([0]), np.array([n])))]

@@ -22,9 +22,7 @@ import math
 import sys
 from pathlib import Path
 
-from .builder import (
-    SchemeMismatch, build_spanner, edge_count_bound, read_edge_list, write_edge_list
-)
+from .builder import build_spanner, edge_count_bound, read_edge_list, write_edge_list
 from .core import load_failures, load_points, write_points
 from .experiments import (
     FAILURE_MODELS,
@@ -112,9 +110,8 @@ def cmd_build(args) -> int:
     write_edge_list(graph, out + ".edges")
     Path(out + ".scheme.json").write_text(scheme_to_json(scheme) + "\n")
     write_points(ps, out + ".points")
-    mode = "complete" if scheme.complete_mode else "layered"
     print(
-        f"built n={scheme.n} ell={scheme.ell} m={scheme.m} mode={mode} "
+        f"built n={scheme.n} ell={scheme.ell} m={scheme.m} mode={scheme.mode} "
         f"edges={graph.edge_count} bound={edge_count_bound(scheme.n, scheme.ell):.1f} "
         f"seed={args.seed}"
     )
@@ -133,7 +130,7 @@ def cmd_verify(args) -> int:
         scheme = scheme_from_json(Path(prefix + ".scheme.json").read_text())
         # before the edges are read or failures drawn, both sized by the scheme
         if ps.n != scheme.n:
-            raise SchemeMismatch(f"point set has n={ps.n} but stored scheme has n={scheme.n}")
+            raise ValueError(f"point set has n={ps.n} but stored scheme has n={scheme.n}")
         graph = read_edge_list(prefix + ".edges", n=scheme.n)
     else:
         ps, scheme = _resolve_instance(args)

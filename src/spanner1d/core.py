@@ -18,18 +18,6 @@ from typing import Iterable
 import numpy as np
 
 
-class EmptyInput(ValueError):
-    """A point source yielded no coordinates."""
-
-
-class DuplicateCoordinate(ValueError):
-    """Two input coordinates compare exactly equal."""
-
-
-class IndexOutOfRange(ValueError):
-    """A vertex index falls outside [0, n)."""
-
-
 @dataclass(frozen=True, eq=False)
 class PointSet:
     """Strictly increasing finite coordinates of n >= 1 points on the real line.
@@ -43,7 +31,7 @@ class PointSet:
     def __post_init__(self):
         arr = np.array(self.coords, dtype=np.float64)
         if arr.ndim != 1 or arr.size == 0:
-            raise EmptyInput("a point set needs at least one coordinate")
+            raise ValueError("a point set needs at least one coordinate")
         if not np.isfinite(arr).all():
             raise ValueError("coordinates must be finite, not NaN or infinite")
         # in Python floats, so an overflow reads inf without a numpy warning;
@@ -52,7 +40,7 @@ class PointSet:
             raise ValueError("coordinates must span a finite range")
         gaps = np.diff(arr)
         if np.any(gaps == 0.0):
-            raise DuplicateCoordinate("coordinates must be pairwise distinct")
+            raise ValueError("coordinates must be pairwise distinct")
         if np.any(gaps < 0.0):
             raise ValueError("coordinates must be sorted increasingly")
         arr.flags.writeable = False
@@ -79,7 +67,7 @@ def make_point_set(coords: Iterable[float]) -> PointSet:
 
 def check_vertex(n: int, v: int) -> int:
     if not 0 <= v < n:
-        raise IndexOutOfRange(f"vertex {v} outside [0, {n})")
+        raise ValueError(f"vertex {v} outside [0, {n})")
     return v
 
 
@@ -104,7 +92,7 @@ def failure_indices(members: Iterable[int], n: int) -> np.ndarray:
                 raise ValueError(f"vertex index {v!r} is not an integer")
             check_vertex(n, operator.index(v))
         # an iterator read up
-        raise IndexOutOfRange(f"a vertex index outside [0, {n}) or not an integer")
+        raise ValueError(f"a vertex index outside [0, {n}) or not an integer")
     return idx
 
 

@@ -17,7 +17,7 @@ import numpy as np
 from .builder import build_spanner, edge_count_bound
 from .closure import compute_closure, within_spec_bound
 from .core import PointSet, make_point_set
-from .scheme import LayerOutOfRange, build_scheme
+from .scheme import build_scheme
 
 POINT_MODELS = ("uniform", "clustered", "expgaps")
 FAILURE_MODELS = ("random_k", "half_cluster_wipe", "interval_wipe")
@@ -65,7 +65,7 @@ def half_cluster_wipe(scheme, layer: int, ordinal: int) -> frozenset:
     """Fail every vertex of one half-cluster (1-based ordinal)."""
     lo, hi = scheme.tile_bounds(layer)
     if not 1 <= ordinal <= len(lo):
-        raise LayerOutOfRange(
+        raise ValueError(
             f"half ordinal {ordinal} out of range 1..{len(lo)} at layer {layer}"
         )
     return frozenset(range(int(lo[ordinal - 1]), int(hi[ordinal - 1])))

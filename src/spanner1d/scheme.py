@@ -32,14 +32,6 @@ import numpy as np
 from .core import check_vertex
 
 
-class LayerOutOfRange(ValueError):
-    """A layer index falls outside [1, ell]."""
-
-
-class InvalidEpsilon(ValueError):
-    """Exponent slack must lie in (0, 1]."""
-
-
 @dataclass(frozen=True)
 class HalfClusterRef:
     """Half of a cluster; ``ordinal``/``side`` name one owning cluster.
@@ -64,13 +56,21 @@ class LayeredScheme:
     """Cluster layout for all layers of one (n, ell) instance.
 
     Only the parameters are held; ``tile_bounds`` derives each layer.
-    Complete-graph mode has no tiles and reports ``m`` as 0.
+    Complete-graph mode has no tiles and is ``m == 0``.
     """
 
     n: int
     ell: int
     m: int
-    complete_mode: bool
+
+    @property
+    def complete_mode(self) -> bool:
+        return self.m == 0
+
+    @property
+    def mode(self) -> str:
+        """``"complete"`` or ``"layered"``, as stored and printed."""
+        return "complete" if self.complete_mode else "layered"
 
     def tile_of(self, layer: int, v: int) -> int:
         """Index into ``tile_bounds(layer)`` of the tile containing vertex v."""
@@ -102,7 +102,7 @@ class LayeredScheme:
 
 def _check_layer(s: LayeredScheme, layer: int) -> None:
     if not 1 <= layer <= s.ell:
-        raise LayerOutOfRange(f"layer {layer} outside [1, {s.ell}]")
+        raise ValueError(f"layer {layer} outside [1, {s.ell}]")
 
 
 def choose_m(n: int, ell: int) -> int:
@@ -122,7 +122,7 @@ def choose_m(n: int, ell: int) -> int:
 def choose_ell_for_epsilon(epsilon: float) -> int:
     """Smallest depth whose edge-count exponent is within 1 + epsilon."""
     if not 0.0 < epsilon <= 1.0:
-        raise InvalidEpsilon(f"epsilon must lie in (0, 1], got {epsilon}")
+        raise ValueError(f"epsilon must lie in (0, 1], got {epsilon}")
     # The 1e-9 slack keeps float noise at integer boundaries from bumping
     # the ceiling (e.g. epsilon = 1/3).
     return max(1, math.ceil((1.0 - epsilon) / epsilon - 1e-9))
@@ -135,9 +135,7 @@ def build_scheme(n: int, ell: int) -> LayeredScheme:
     if not 1 <= ell < 2**63 - 1:  # ell + 1 is a closure layer, stored as int64
         raise ValueError(f"depth must lie in [1, 2**63 - 1), got ell={ell}")
     m = choose_m(n, ell)
-    if m < 2:
-        return LayeredScheme(n, ell, 0, True)
-    return LayeredScheme(n, ell, m, False)
+    return LayeredScheme(n, ell, m if m >= 2 else 0)
 
 
 def half_clusters_of_layer(s: LayeredScheme, layer: int, tiles=None) -> tuple:
@@ -157,8 +155,7 @@ def half_clusters_of_layer(s: LayeredScheme, layer: int, tiles=None) -> tuple:
 
 def scheme_to_json(s: LayeredScheme) -> str:
     """The scheme as its four parameters: ``n``, ``ell``, ``m`` and the mode."""
-    mode = "complete" if s.complete_mode else "layered"
-    return json.dumps({"n": s.n, "ell": s.ell, "m": s.m, "mode": mode}, indent=2)
+    return json.dumps({"n": s.n, "ell": s.ell, "m": s.m, "mode": s.mode}, indent=2)
 
 
 def scheme_from_json(text: str) -> LayeredScheme:
@@ -180,6 +177,6 @@ def scheme_from_json(text: str) -> LayeredScheme:
     except (TypeError, RecursionError) as exc:
         raise ValueError(f"malformed stored scheme ({type(exc).__name__}: {exc})") from exc
     s = build_scheme(n, ell)
-    if m != s.m or doc["mode"] != ("complete" if s.complete_mode else "layered"):
+    if m != s.m or doc["mode"] != s.mode:
         raise ValueError("stored scheme does not match its own parameters")
     return s

@@ -53,7 +53,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .builder import SchemeMismatch, SpannerGraph
+from .builder import SpannerGraph
 from .closure import compute_closure, within_spec_bound
 from .core import PointSet, failure_indices
 from .scheme import LayeredScheme
@@ -204,7 +204,7 @@ def brute_force_oracle(
 ) -> dict:
     """Exact shortest-path length for every alive pair (u < v), inf allowed."""
     if graph.n != ps.n:
-        raise SchemeMismatch(f"graph n={graph.n} vs point set n={ps.n}")
+        raise ValueError(f"graph n={graph.n} vs point set n={ps.n}")
     if graph.n > limit:
         raise TooLarge(f"oracle guard: n={graph.n} exceeds limit={limit}")
     dead = np.zeros(graph.n, dtype=bool)
@@ -477,7 +477,7 @@ def verify_robust_spanner(
     and the oracle off, nothing is drawn or built.
     """
     if not (graph.n == ps.n == scheme.n):
-        raise SchemeMismatch(
+        raise ValueError(
             f"size mismatch: graph n={graph.n}, points n={ps.n}, scheme n={scheme.n}"
         )
     if pair_sample < 0 or oracle_sample < 0:

@@ -9,6 +9,8 @@ import pytest
 
 import spanner1d as sp
 from spanner1d.cli import _build_parser, main
+from spanner1d.core import write_points
+from spanner1d.scheme import choose_m
 
 
 def test_build_writes_files(tmp_path, capsys):
@@ -62,7 +64,7 @@ def test_epsilon_matches_explicit_depth(tmp_path, capsys):
 
 def test_build_from_points_file(tmp_path, capsys):
     pts = tmp_path / "pts.txt"
-    sp.write_points(sp.generate_points(20, "uniform", 3), pts)
+    write_points(sp.generate_points(20, "uniform", 3), pts)
     assert main(["build", "--points", str(pts), "--out", str(tmp_path / "g")]) == 0
     assert "n=20" in capsys.readouterr().out
 
@@ -106,7 +108,7 @@ def test_verify_of_a_stored_graph_refuses_instance_flags(tmp_path, capsys, flags
 def test_points_file_refuses_a_point_model(tmp_path, capsys, command):
     """The file fixes the points, so a model beside it is an error, not ignored."""
     pts = tmp_path / "pts.txt"
-    sp.write_points(sp.generate_points(4, "uniform", 3), pts)
+    write_points(sp.generate_points(4, "uniform", 3), pts)
     out = ["--out", str(tmp_path / "g")] if command == "build" else []
     argv = [command, *out, "--points", str(pts), "--model", "clustered", "--ell", "1"]
     assert main(argv) == 2
@@ -263,7 +265,7 @@ def test_verify_rejects_huge_stored_size(tmp_path, capsys):
     assert main(["build", "--n", "16", "--ell", "1", "--out", str(out)]) == 0
     scheme = tmp_path / "g.scheme.json"
     doc = json.loads(scheme.read_text())
-    doc.update(n=10**18, m=sp.choose_m(10**18, 1))
+    doc.update(n=10**18, m=choose_m(10**18, 1))
     scheme.write_text(json.dumps(doc))
     # sizes are compared before any failure is drawn: a half-cluster wipe of
     # the stored size would lay out 2e9 tiles

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 from unittest import mock
@@ -8,39 +9,40 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import spanner1d as sp
+from spanner1d.scheme import LayeredScheme, choose_ell_for_epsilon, choose_m, scheme_to_json
 from reference_simple import simple_layers, simple_tile_labels
 
 
 def test_choose_m_examples():
-    assert sp.choose_m(16, 1) == 2
-    assert sp.choose_m(35, 1) == 2
-    assert sp.choose_m(36, 1) == 3
-    assert sp.choose_m(216, 2) == 3
-    assert sp.choose_m(15, 1) == 1
-    assert sp.choose_m(3, 1) == 0
+    assert choose_m(16, 1) == 2
+    assert choose_m(35, 1) == 2
+    assert choose_m(36, 1) == 3
+    assert choose_m(216, 2) == 3
+    assert choose_m(15, 1) == 1
+    assert choose_m(3, 1) == 0
 
 
 @given(st.integers(min_value=1, max_value=10**18), st.integers(min_value=1, max_value=4))
 @example(n=10**18, ell=1)
 @example(n=4**18, ell=17)
 def test_choose_m_bracket(n, ell):
-    m = sp.choose_m(n, ell)
+    m = choose_m(n, ell)
     assert (2 * m) ** (ell + 1) <= n or m == 0
     assert (2 * (m + 1)) ** (ell + 1) > n
 
 
 def test_choose_ell_for_epsilon():
-    assert sp.choose_ell_for_epsilon(1.0) == 1
-    assert sp.choose_ell_for_epsilon(0.5) == 1
-    assert sp.choose_ell_for_epsilon(1.0 / 3.0) == 2
-    assert sp.choose_ell_for_epsilon(0.25) == 3
-    assert sp.choose_ell_for_epsilon(0.2) == 4
+    assert choose_ell_for_epsilon(1.0) == 1
+    assert choose_ell_for_epsilon(0.5) == 1
+    assert choose_ell_for_epsilon(1.0 / 3.0) == 2
+    assert choose_ell_for_epsilon(0.25) == 3
+    assert choose_ell_for_epsilon(0.2) == 4
 
 
 @pytest.mark.parametrize("eps", [0.0, -0.5, 1.5])
 def test_invalid_epsilon(eps):
-    with pytest.raises(sp.InvalidEpsilon):
-        sp.choose_ell_for_epsilon(eps)
+    with pytest.raises(ValueError, match=rf"epsilon must lie in \(0, 1\], got {eps}"):
+        choose_ell_for_epsilon(eps)
 
 
 def test_bad_build_arguments():
@@ -59,6 +61,14 @@ def test_complete_mode_below_threshold():
     assert not sp.build_scheme(64, 2).complete_mode
 
 
+def test_mode_is_derived_from_m():
+    """A scheme holds its three parameters; complete mode is ``m == 0``."""
+    assert [f.name for f in dataclasses.fields(LayeredScheme)] == ["n", "ell", "m"]
+    for n, ell, mode in [(15, 1, "complete"), (16, 1, "layered"), (63, 2, "complete")]:
+        s = sp.build_scheme(n, ell)
+        assert s.mode == mode and s.complete_mode == (s.m == 0) == (mode == "complete")
+
+
 def test_complete_mode_lookups():
     """Complete mode has no clusters or tiles; lookups say so instead of crashing."""
     s = sp.build_scheme(8, 1)
@@ -68,18 +78,19 @@ def test_complete_mode_lookups():
     assert lo.shape == hi.shape == (0,)
     with pytest.raises(ValueError, match="complete mode"):
         s.tile_of(1, 0)
-    with pytest.raises(sp.LayerOutOfRange):
+    with pytest.raises(ValueError, match=r"layer 2 outside \[1, 1\]"):
         s.tile_bounds(2)
 
 
 def test_layer_out_of_range():
     s = sp.build_scheme(16, 1)
     for bad in (0, 2):
-        with pytest.raises(sp.LayerOutOfRange):
+        message = rf"layer {bad} outside \[1, 1\]"
+        with pytest.raises(ValueError, match=message):
             sp.half_clusters_of_layer(s, bad)
-        with pytest.raises(sp.LayerOutOfRange):
+        with pytest.raises(ValueError, match=message):
             s.tile_bounds(bad)
-        with pytest.raises(sp.LayerOutOfRange):
+        with pytest.raises(ValueError, match=message):
             s.tile_of(bad, 3)
 
 
@@ -179,7 +190,7 @@ def test_cluster_lookup_matches_linear_scan(n, ell):
 def test_scheme_json_round_trip():
     for n, ell in [(16, 1), (216, 2), (15, 1)]:
         s = sp.build_scheme(n, ell)
-        assert sp.scheme_from_json(sp.scheme_to_json(s)) == s
+        assert sp.scheme_from_json(scheme_to_json(s)) == s
 
 
 def listing_json(s):
@@ -219,7 +230,7 @@ def test_scheme_json_golden_digest(n, ell):
 
 
 def test_scheme_json_tamper_detected():
-    doc = json.loads(sp.scheme_to_json(sp.build_scheme(16, 1)))
+    doc = json.loads(scheme_to_json(sp.build_scheme(16, 1)))
     doc["m"] = 3
     with pytest.raises(ValueError):
         sp.scheme_from_json(json.dumps(doc))
@@ -228,7 +239,7 @@ def test_scheme_json_tamper_detected():
         with pytest.raises(ValueError, match="malformed stored scheme"):
             sp.scheme_from_json(listing)
     # malformed documents raise ValueError too, not KeyError or TypeError
-    good = json.loads(sp.scheme_to_json(sp.build_scheme(16, 1)))
+    good = json.loads(scheme_to_json(sp.build_scheme(16, 1)))
     for bad in (
         {k: v for k, v in good.items() if k != "n"},
         [good],
@@ -242,13 +253,13 @@ def test_scheme_json_tamper_detected():
         {**good, "ell": True},
         {**good, "ell": 1.0},
         {**good, "m": 2.0},
-        {**json.loads(sp.scheme_to_json(sp.build_scheme(15, 1))), "m": False},
+        {**json.loads(scheme_to_json(sp.build_scheme(15, 1))), "m": False},
     ):
         with pytest.raises(ValueError, match="malformed stored scheme"):
             sp.scheme_from_json(json.dumps(bad))
     # a huge stored size whose m matches reads without laying out a tile
-    huge = {**good, "n": 10**18, "m": sp.choose_m(10**18, 1)}
-    with mock.patch.object(sp.LayeredScheme, "tile_bounds", side_effect=AssertionError):
+    huge = {**good, "n": 10**18, "m": choose_m(10**18, 1)}
+    with mock.patch.object(LayeredScheme, "tile_bounds", side_effect=AssertionError):
         assert sp.scheme_from_json(json.dumps(huge)) == sp.build_scheme(10**18, 1)
 
 
@@ -262,7 +273,7 @@ SCHEME_JSON_TEXT = {
 @pytest.mark.parametrize("n,ell", sorted(SCHEME_JSON_TEXT))
 def test_scheme_json_exact_text(n, ell):
     s = sp.build_scheme(n, ell)
-    assert sp.scheme_to_json(s) == SCHEME_JSON_TEXT[(n, ell)]
+    assert scheme_to_json(s) == SCHEME_JSON_TEXT[(n, ell)]
     assert sp.scheme_from_json(SCHEME_JSON_TEXT[(n, ell)]) == s
 
 

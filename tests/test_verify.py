@@ -1,5 +1,6 @@
 import contextlib
 import dataclasses
+import hashlib
 import json
 import math
 import types
@@ -113,7 +114,7 @@ def test_oracle_reports_unreachable():
 
 def test_oracle_rejects_a_point_set_of_another_size():
     g, _ = path_graph()
-    with pytest.raises(sp.SchemeMismatch, match="graph n=3 vs point set n=4"):
+    with pytest.raises(ValueError, match="graph n=3 vs point set n=4"):
         sp.brute_force_oracle(g, sp.make_point_set([0.0, 1.0, 2.0, 3.0]), frozenset())
 
 
@@ -219,7 +220,9 @@ def test_verify_seed_reproducible(instance):
 
 def test_verify_size_mismatch(instance):
     ps, scheme, g = instance(16, 1)
-    with pytest.raises(sp.SchemeMismatch):
+    with pytest.raises(
+        ValueError, match="size mismatch: graph n=16, points n=20, scheme n=16"
+    ):
         sp.verify_robust_spanner(g, sp.generate_points(20, "uniform", 0), scheme, frozenset())
 
 
@@ -1425,3 +1428,17 @@ def test_negative_samples_rejected(instance, kwargs):
     ps, scheme, g = instance(16, 1)
     with pytest.raises(ValueError, match="must be >= 0"):
         sp.verify_robust_spanner(g, ps, scheme, frozenset(), exhaustive_limit=0, **kwargs)
+
+
+def test_target_scale_report_is_pinned():
+    """n = 65536 at depth 3: the report the CLI writes for ``--random-k 3276 --seed 1``."""
+    ps = sp.generate_points(65536, "uniform", 0)
+    scheme = sp.build_scheme(65536, 3)
+    graph = sp.build_spanner(ps, scheme)
+    rep = sp.verify_robust_spanner(graph, ps, scheme, sp.random_failures(65536, 3276, 1), seed=1)
+    digest = hashlib.sha256((rep.to_json() + "\n").encode()).hexdigest()
+    assert digest.startswith("c2f7d4f168d374c0")
+    assert rep.f_star_size == 3370
+    assert rep.summary() == (
+        "PASS n=65536 seed=1 |F|=3276 |F*|=3370 pairs=20000 violations=0 bound_ok=True"
+    )
